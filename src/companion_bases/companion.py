@@ -18,6 +18,7 @@ from .quiver import (
     ExchangeMatrix,
     dynkin_type_of,
     finite_type_failure,
+    int_rows,
     loads_exchange_matrix,
     mutate,
     mutate_entries,
@@ -308,10 +309,18 @@ class DVectorSet:
 
 def d_vector_set(psi: CompanionBasis) -> DVectorSet:
     """d-vectors of every positive root; cardinality always equals their number."""
-    inverse = psi.inverse()
+    # each root is its parent plus e_i, so its coefficients are the parent's
+    # plus column i of the inverse
+    columns = list(zip(*psi.inverse()))
+    coeffs: list[tuple[int, ...]] = []
+    for parent, i in psi.rs.positive_parents:
+        if parent < 0:
+            coeffs.append(columns[i])
+        else:
+            coeffs.append(tuple(a + b for a, b in zip(coeffs[parent], columns[i])))
     by_root = {
-        alpha: tuple(abs(c) for c in mat_vec(inverse, alpha))
-        for alpha in psi.rs.positive_roots
+        alpha: tuple(abs(c) for c in cs)
+        for alpha, cs in zip(psi.rs.positive_roots, coeffs)
     }
     return DVectorSet(by_root)
 
@@ -418,7 +427,10 @@ def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
     psi = initial_companion_basis(chain[-1])
     for i in reversed(range(len(sequence))):
         psi, back = mutate_inward(psi, chain[i + 1], sequence[i])
-        assert back.entries == chain[i].entries
+        if back.entries != chain[i].entries:
+            raise MutationSearchError(
+                f"replay step {i} did not return to the recorded matrix"
+            )
     failure = companion_basis_failure(psi, B)
     if failure is not None:
         raise MutationSearchError(f"replayed basis is invalid: {failure}")
@@ -503,11 +515,21 @@ def dumps_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> str:
 
 
 def loads_companion_basis(text: str) -> tuple[CompanionBasis, ExchangeMatrix]:
+    """Read {"type": "E8", "quiver": <exchange matrix>, "gamma": [[int]]}.
+
+    Raises ValueError on anything else, including a quiver whose size is not
+    the type's rank and a gamma that is not rank lists of rank integers.
+    """
     data = json.loads(text)
     if not isinstance(data, dict) or not {"type", "quiver", "gamma"} <= set(data):
         raise ValueError("expected an object with type, quiver and gamma fields")
+    if not isinstance(data["type"], str):
+        raise ValueError("'type' must be a Dynkin label such as \"E8\"")
     dynkin = DynkinType.parse(data["type"])
     B = loads_exchange_matrix(json.dumps(data["quiver"]))
-    rs = build_root_system(dynkin)
-    psi = CompanionBasis(rs, tuple(tuple(int(c) for c in g) for g in data["gamma"]))
-    return psi, B
+    if B.n != dynkin.rank:
+        raise ValueError(
+            f"size mismatch: quiver has {B.n} vertices, {dynkin} has rank {dynkin.rank}"
+        )
+    gamma = int_rows(data["gamma"], dynkin.rank, dynkin.rank, "gamma")
+    return CompanionBasis(build_root_system(dynkin), gamma), B

@@ -11,14 +11,14 @@ from fractions import Fraction
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def det_bareiss(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
+def _bareiss_eliminate(m: list[list[int]], n: int) -> int:
+    """Fraction-free forward elimination on the first n columns of m, in place.
+
+    Rows are swapped to find nonzero pivots, and every further column of m is
+    carried along.  Returns the determinant of the leading n x n block, or 0
+    as soon as a pivot column has no nonzero entry left.
+    """
+    width = len(m[0]) if m else 0
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -31,15 +31,23 @@ def det_bareiss(rows) -> int:
             else:
                 return 0
         pivot = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
             row_i = m[i]
-            row_k = m[k]
             head = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def det_bareiss(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    return _bareiss_eliminate([list(r) for r in rows], n)
 
 
 def solve_fractions(rows, rhs) -> list[Fraction] | None:
@@ -78,16 +86,37 @@ def solve_int(rows, rhs) -> tuple[int, ...]:
 
 
 def inverse_unimodular(rows) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1, as an integer matrix."""
+    """Inverse of an integer matrix with determinant +-1, as an integer matrix.
+
+    The forward elimination of det_bareiss, run once on [M | I], yields the
+    determinant and an equivalent triangular system; exact integer
+    back-substitution then solves all n columns at once.
+    """
     n = len(rows)
-    det = det_bareiss(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    det = _bareiss_eliminate(m, n)
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (determinant {det})")
-    cols = []
-    for j in range(n):
-        unit = [1 if i == j else 0 for i in range(n)]
-        cols.append(solve_int(rows, unit))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    # back-substitute U x = c for every right-hand column c at once
+    solution = [None] * n
+    for i in reversed(range(n)):
+        row_i = m[i]
+        acc = row_i[n:]
+        for j in range(i + 1, n):
+            coeff = row_i[j]
+            if coeff:
+                acc = [a - coeff * x for a, x in zip(acc, solution[j])]
+        diag = row_i[i]
+        out = []
+        for a in acc:
+            q, r = divmod(a, diag)
+            if r:
+                raise RuntimeError("inexact back-substitution: invariant violation")
+            out.append(q)
+        solution[i] = out
+    return tuple(tuple(row) for row in solution)
 
 
 def mat_vec(rows, vec) -> tuple[int, ...]:

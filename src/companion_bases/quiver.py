@@ -313,23 +313,44 @@ def dumps_exchange_matrix(B: ExchangeMatrix) -> str:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def int_rows(value, n_rows: int, n_cols: int, name: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of n_rows lists of n_cols integers, as a tuple of tuples.
+
+    Anything else raises ValueError: other shapes, and entries that are not
+    plain integers (floats, strings and booleans are never coerced).
+    """
+    if not isinstance(value, list) or len(value) != n_rows:
+        raise ValueError(f"'{name}' must be a list of {n_rows} rows")
+    for row in value:
+        if not isinstance(row, list) or len(row) != n_cols or not all(map(_is_int, row)):
+            raise ValueError(f"'{name}' rows must be lists of {n_cols} integers")
+    return tuple(tuple(row) for row in value)
+
+
 def loads_exchange_matrix(text: str) -> ExchangeMatrix:
     """Read {"n": int, "b": [[int]]} or {"n": int, "arrows": [[s,t]]}."""
     data = json.loads(text)
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("expected an object with an 'n' field")
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("'n' must be a nonnegative integer")
     if "b" in data:
-        rows = data["b"]
-        if len(rows) != n:
-            raise ValueError("'b' must have n rows")
-        return ExchangeMatrix.from_rows(rows)
+        return ExchangeMatrix(int_rows(data["b"], n, n, "b"))
     if "arrows" in data:
         arrows = data["arrows"]
+        if not isinstance(arrows, list):
+            raise ValueError("'arrows' must be a list")
         for pair in arrows:
-            if len(pair) != 2 or not all(0 <= v < n for v in pair):
-                raise ValueError(f"bad arrow {pair}")
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(_is_int(v) and 0 <= v < n for v in pair)
+            ):
+                raise ValueError(f"bad arrow {pair!r}")
         return ExchangeMatrix.from_arrows(n, arrows)
     raise ValueError("expected a 'b' matrix or an 'arrows' list")

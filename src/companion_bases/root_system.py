@@ -80,9 +80,13 @@ class DynkinType:
 class RootSystem:
     """The roots of one simply-laced Dynkin type, in simple-root coordinates.
 
-    Positive roots are generated once by reflection closure from the simple
-    roots and kept in a fixed order: graded by coordinate sum, ties broken
-    lexicographically.  Instances are immutable; every method is pure.
+    Positive roots are generated once, height by height from the simple
+    roots: alpha + e_i is a root exactly when (alpha, e_i) = -1, a test that
+    reads only alpha's neighbours on the diagram.  They are kept in a fixed
+    order: graded by coordinate sum, ties broken lexicographically.
+    `positive_parents[p]` is (q, i) when positive root p is positive root q
+    plus e_i, and (-1, i) when p is e_i itself; parents precede children.
+    Instances are immutable; every method is pure.
     """
 
     def __init__(self, dynkin: DynkinType):
@@ -93,25 +97,29 @@ class RootSystem:
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        roots = self._reflection_closure()
-        positive = [v for v in roots if all(c >= 0 for c in v)]
-        positive.sort(key=lambda v: (sum(v), v))
-        self.positive_roots: tuple[Root, ...] = tuple(positive)
-        self._positive_set = frozenset(positive)
-
-    def _reflection_closure(self) -> set[Root]:
-        roots = set(self.simple_roots)
-        frontier = list(self.simple_roots)
-        while frontier:
-            fresh = []
-            for alpha in frontier:
-                for simple in self.simple_roots:
-                    image = self._reflect_raw(alpha, simple)
-                    if image not in roots:
-                        roots.add(image)
-                        fresh.append(image)
-            frontier = fresh
-        return roots
+        neighbours = [[] for _ in range(n)]
+        for i, j in self._edges:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        roots: list[Root] = []
+        parents: list[tuple[int, int]] = []
+        layer = {e: (-1, i) for i, e in enumerate(self.simple_roots)}
+        while layer:
+            start = len(roots)
+            for alpha in sorted(layer):
+                roots.append(alpha)
+                parents.append(layer[alpha])
+            layer = {}
+            for p in range(start, len(roots)):
+                alpha = roots[p]
+                for i in range(n):
+                    # (alpha, e_i) = 2 alpha_i - sum of alpha over i's neighbours
+                    if 2 * alpha[i] - sum(alpha[j] for j in neighbours[i]) == -1:
+                        child = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+                        layer.setdefault(child, (p, i))
+        self.positive_roots: tuple[Root, ...] = tuple(roots)
+        self.positive_parents: tuple[tuple[int, int], ...] = tuple(parents)
+        self._positive_set = frozenset(roots)
 
     @property
     def rank(self) -> int:

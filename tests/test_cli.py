@@ -157,6 +157,50 @@ def test_dvectors_command(tmp_path, capsys):
     assert run(["dvectors", "--input", bad]) == 2
 
 
+A2_BASIS = {"type": "A2", "quiver": {"n": 2, "arrows": [[0, 1]]}, "gamma": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("gamma", None),
+        ("gamma", [[1, 0], 5]),
+        ("gamma", [[1, 0]]),
+        ("gamma", [[1, 0], [0, 1, 0]]),
+        ("gamma", [[1.7, 0], [0, 1]]),
+        ("gamma", [[1.0, 0], [0, 1]]),
+        ("gamma", [["1", 0], [0, 1]]),
+        ("gamma", [[True, False], [False, True]]),
+        ("gamma", [[2, 0], [0, 1]]),
+        ("type", 5),
+        ("type", None),
+        ("type", "B2"),
+        ("quiver", None),
+        ("quiver", {"n": 2, "b": 5}),
+        ("quiver", {"n": 2, "b": [[0, 1.5], [-1.5, 0]]}),
+        ("quiver", {"n": 2, "arrows": [5]}),
+        ("quiver", {"n": True, "arrows": []}),
+        # a quiver of the wrong size for the type is malformed, not a failed check
+        ("quiver", {"n": 3, "arrows": [[0, 1], [1, 2]]}),
+    ],
+)
+def test_dvectors_rejects_malformed_input(tmp_path, capsys, field, value):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({**A2_BASIS, field: value}))
+    assert run(["dvectors", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_dvectors_keeps_exit_4_for_a_wrong_basis_of_the_right_size(tmp_path, capsys):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({**A2_BASIS, "gamma": [[1, 0], [-1, 0]]}))
+    assert run(["dvectors", "--input", path]) == 4
+    assert capsys.readouterr().err == "error: not a Z-basis of the root lattice\n"
+
+
 def test_verify_type_a(tmp_path):
     out = tmp_path / "report.jsonl"
     assert run(["verify-type-a", "--n", 2, "--mode", "exhaustive", "--output", out]) == 0

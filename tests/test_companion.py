@@ -22,6 +22,7 @@ from companion_bases.companion import (
     sign_change,
     transform,
 )
+from companion_bases.intlinalg import mat_vec
 from companion_bases.quiver import (
     ExchangeMatrix,
     chordless_cycles,
@@ -195,6 +196,20 @@ def test_d_vector_set(pendant_basis, rs_a4):
     # over the simple roots the d-vectors are the root coordinates themselves
     pi = CompanionBasis(rs_a4, rs_a4.simple_roots)
     assert d_vector_set(pi).by_root == {v: v for v in rs_a4.positive_roots}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    label=st.sampled_from(["A5", "A9", "D6", "D9", "E6", "E7", "E8"]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_d_vector_set_matches_matrix_expansion(label, seed):
+    psi, _ = random_walk_basis(label, 30, seed)
+    inverse = psi.inverse()
+    assert d_vector_set(psi).by_root == {
+        alpha: tuple(abs(c) for c in mat_vec(inverse, alpha))
+        for alpha in psi.rs.positive_roots
+    }
 
 
 def test_d_vector_set_invariance(pendant_basis):

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from companion_bases.intlinalg import (
     det_bareiss,
     gf2_solve,
     inverse_unimodular,
     mat_vec,
+    solve_fractions,
     solve_int,
 )
 
@@ -69,6 +70,83 @@ def test_inverse_unimodular():
     assert mat_vec(inv, mat_vec(m, (5, -3))) == (5, -3)
     with pytest.raises(ValueError, match="unimodular"):
         inverse_unimodular(((2, 0), (0, 1)))
+
+
+def inverse_fraction_oracle(rows):
+    # one Fraction solve per column of the identity
+    n = len(rows)
+    cols = [solve_fractions(rows, [int(i == j) for i in range(n)]) for j in range(n)]
+    assert all(x.denominator == 1 for col in cols for x in col)
+    return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
+
+
+# (kind, i, j, c): add c times row j to row i, swap rows i and j, or negate row i
+row_operations = st.tuples(
+    st.sampled_from(["add", "swap", "negate"]),
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=-3, max_value=3),
+)
+
+unimodular_matrices = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(row_operations, max_size=3 * n))
+)
+
+
+def apply_row_operations(n, operations):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for kind, i, j, c in operations:
+        i, j = i % n, j % n
+        if kind == "negate":
+            m[i] = [-a for a in m[i]]
+        elif i == j:
+            continue
+        elif kind == "swap":
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unimodular_matrices)
+def test_inverse_unimodular_on_elementary_products(case):
+    n, operations = case
+    m = apply_row_operations(n, operations)
+    inv = inverse_unimodular(m)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    product = tuple(
+        tuple(sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    assert product == identity
+    assert inv == inverse_fraction_oracle(m)
+
+
+@pytest.mark.parametrize(
+    "rows,det",
+    [
+        (((0, 0), (0, 0)), 0),
+        (((1, 2), (2, 4)), 0),
+        (((0, 1, 0), (0, 2, 0), (1, 0, 0)), 0),
+        (((1, 0, 0), (0, 0, 1), (0, 0, 1)), 0),
+        (((2, 0), (0, 1)), 2),
+        (((0, 1), (2, 0)), -2),
+        (((1, 1, 0), (1, -1, 0), (0, 0, 1)), -2),
+    ],
+)
+def test_inverse_unimodular_rejects_other_determinants(rows, det):
+    assert det_bareiss(rows) == det
+    with pytest.raises(ValueError, match=f"unimodular \\(determinant {det}\\)"):
+        inverse_unimodular(rows)
+
+
+def test_inverse_unimodular_edge_cases():
+    assert inverse_unimodular(()) == ()
+    assert inverse_unimodular(((-1,),)) == ((-1,),)
+    assert inverse_unimodular(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="not square"):
+        inverse_unimodular(((1, 0),))
 
 
 @given(

@@ -78,6 +78,51 @@ def test_root_order_is_graded_then_lexicographic():
     assert keys == sorted(keys)
 
 
+ALL_LABELS = (
+    [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8"]
+)
+
+
+def reflection_closure_oracle(rs):
+    """Positive roots by closing the simple roots under simple reflections."""
+    roots = set(rs.simple_roots)
+    frontier = list(roots)
+    while frontier:
+        fresh = []
+        for alpha in frontier:
+            for simple in rs.simple_roots:
+                image = rs.reflect(alpha, simple)
+                if image not in roots:
+                    roots.add(image)
+                    fresh.append(image)
+        frontier = fresh
+    return sorted((v for v in roots if min(v) >= 0), key=lambda v: (sum(v), v))
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_positive_roots_match_reflection_closure_in_order(label):
+    rs = build_root_system(DynkinType.parse(label))
+    assert rs.positive_roots == tuple(reflection_closure_oracle(rs))
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_positive_parents_link_each_root_to_a_lower_one(label):
+    rs = build_root_system(DynkinType.parse(label))
+    assert len(rs.positive_parents) == len(rs.positive_roots)
+    for p, (parent, i) in enumerate(rs.positive_parents):
+        alpha = rs.positive_roots[p]
+        if parent == -1:
+            assert alpha == rs.simple_roots[i]
+            continue
+        assert 0 <= parent < p
+        beta = rs.positive_roots[parent]
+        assert alpha == tuple(b + e for b, e in zip(beta, rs.simple_roots[i]))
+        assert rs.inner(beta, rs.simple_roots[i]) == -1
+    assert sorted(i for parent, i in rs.positive_parents if parent == -1) == list(
+        range(rs.rank)
+    )
+
+
 def test_rank_one():
     rs = build_root_system(DynkinType("A", 1))
     assert rs.positive_roots == ((1,),)
