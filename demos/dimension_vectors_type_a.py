@@ -59,7 +59,7 @@ def main():
     assert dset.vectors == indecomposable_dim_vectors(B)
 
     constructed = companion_basis_for(B)
-    print("a mutation-constructed basis gives the same d-vector set:",
+    print("the basis companion_basis_for constructs gives the same d-vector set:",
           d_vector_set(constructed) == dset)
 
 

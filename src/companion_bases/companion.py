@@ -16,9 +16,11 @@ from collections import deque
 from .intlinalg import det_bareiss, mat_vec
 from .quiver import (
     ExchangeMatrix,
+    dynkin_type_and_companion,
     dynkin_type_of,
     finite_type_failure,
     int_rows,
+    is_connected,
     loads_exchange_matrix,
     mutate,
     mutate_entries,
@@ -39,7 +41,12 @@ DVector = tuple[int, ...]
 
 
 class MutationSearchError(RuntimeError):
-    """Raised when the search through a mutation class gives out."""
+    """An invariant violation while constructing a companion basis.
+
+    Raised by companion_basis_for when no roots realize the canonical
+    companion or the realized basis fails its check, and by
+    find_mutation_sequence_to_tree when its search gives out.
+    """
 
 
 class CompanionBasis:
@@ -361,12 +368,15 @@ def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> lis
     """Shortest vertex sequence mutating B to a quiver with tree underlying graph.
 
     Breadth-first over the mutation class with exact-matrix dedup; the search
-    stops at the first tree, so only a small neighbourhood is ever visited.
-    Exhausting the cap signals input outside the finite-type classes.
+    stops at the first tree, but its cost still grows exponentially with rank.
+    Input that is not of finite type or not connected raises ValueError
+    before the search starts; exhausting the cap raises MutationSearchError.
     """
     failure = finite_type_failure(B)
     if failure is not None:
         raise ValueError(f"not finite type: {failure}")
+    if not is_connected(B):
+        raise ValueError("matrix is not connected")
     n = B.n
 
     def is_tree(entries) -> bool:
@@ -414,26 +424,79 @@ def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> lis
     raise MutationSearchError("mutation class contains no tree")
 
 
+def _gram_realization(rs: RootSystem, A) -> tuple[Root, ...] | None:
+    """Roots gamma with (gamma_v, gamma_u) = A[v][u] for all v, u, or None.
+
+    A must be connected.  Backtracks over the vertices in breadth-first order
+    from vertex 0 (vertices joined by a nonzero entry are neighbours, taken in
+    index order).  Vertex 0 gets the simple root e_0: the Weyl group is
+    transitive on the roots of a simply-laced type, so any realization can be
+    moved to one that starts there.  Every other vertex tries the simple roots
+    in index order, then the other positive roots in stored order, then the
+    negatives of all of these, and keeps the first whose form value with every
+    root placed so far is the prescribed entry.
+    """
+    n = rs.rank
+    order = [0]
+    seen = {0}
+    for v in order:
+        for u in range(n):
+            if A[v][u] and u not in seen:
+                seen.add(u)
+                order.append(u)
+    positives = list(rs.simple_roots) + [
+        alpha for alpha in rs.positive_roots if sum(alpha) > 1
+    ]
+    candidates = positives + [tuple(-c for c in alpha) for alpha in positives]
+    cartan = rs.cartan
+    gamma: list[Root] = [()] * n
+    # C gamma_u for every placed u: the form value of a candidate with
+    # gamma_u is then one dot product
+    images: list[tuple[int, ...]] = [()] * n
+
+    def extend(pos: int) -> bool:
+        if pos == n:
+            return True
+        v = order[pos]
+        # nonzero targets first: they reject the most candidates
+        targets = sorted(
+            ((images[u], A[v][u]) for u in order[:pos]), key=lambda t: t[1] == 0
+        )
+        for alpha in candidates if pos else (rs.simple_roots[0],):
+            if all(
+                sum(a * c for a, c in zip(alpha, image)) == value
+                for image, value in targets
+            ):
+                gamma[v] = alpha
+                images[v] = tuple(
+                    sum(r * a for r, a in zip(row, alpha)) for row in cartan
+                )
+                if extend(pos + 1):
+                    return True
+        return False
+
+    return tuple(gamma) if extend(0) else None
+
+
 def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
     """A companion basis for any connected finite-type matrix.
 
-    Mutates B to a tree, seeds the simple roots there, and replays the
-    sequence backwards with inward basis mutation.
+    Realizes the canonical positive companion A of B directly as the Gram
+    matrix of n roots.  The Gram matrix of the basis matrix M is M^T C M = A,
+    and |det A| = det C for the recognised type, so det M = +-1 and the roots
+    are a Z-basis.  Standard orientations of Dynkin diagrams get exactly the
+    simple roots.  Raises ValueError on input that is not connected or not of
+    finite type.
     """
-    sequence = find_mutation_sequence_to_tree(B)
-    chain = [B]
-    for k in sequence:
-        chain.append(mutate(chain[-1], k))
-    psi = initial_companion_basis(chain[-1])
-    for i in reversed(range(len(sequence))):
-        psi, back = mutate_inward(psi, chain[i + 1], sequence[i])
-        if back.entries != chain[i].entries:
-            raise MutationSearchError(
-                f"replay step {i} did not return to the recorded matrix"
-            )
+    dynkin, A = dynkin_type_and_companion(B)
+    rs = build_root_system(dynkin)
+    gamma = _gram_realization(rs, A)
+    if gamma is None:
+        raise MutationSearchError(f"no roots of {dynkin} realize the companion")
+    psi = CompanionBasis(rs, gamma)
     failure = companion_basis_failure(psi, B)
     if failure is not None:
-        raise MutationSearchError(f"replayed basis is invalid: {failure}")
+        raise MutationSearchError(f"realized basis is invalid: {failure}")
     return psi
 
 

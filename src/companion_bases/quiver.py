@@ -221,6 +221,11 @@ def canonical_companion(B: ExchangeMatrix) -> SymMatrix:
     for cycle in cycles:
         if not is_cyclically_oriented(B, cycle):
             raise ValueError(f"{CYCLE_NOT_ORIENTED}: {cycle}")
+    return _signed_companion(B, cycles)
+
+
+def _signed_companion(B: ExchangeMatrix, cycles) -> SymMatrix:
+    """canonical_companion for the given cyclically oriented chordless cycles."""
     edges = B.underlying_edges()
     edge_index = {e: i for i, e in enumerate(edges)}
     equations = []
@@ -268,41 +273,57 @@ def simultaneous_sign_change(A, vertices) -> SymMatrix:
     )
 
 
+def _companion_or_failure(B: ExchangeMatrix) -> tuple[SymMatrix | None, str | None]:
+    """(canonical companion, None) for finite type, else (None, the reason).
+
+    Finds the chordless cycles once and reuses them for the companion.
+    """
+    cycles = chordless_cycles(B)
+    for cycle in cycles:
+        if not is_cyclically_oriented(B, cycle):
+            return None, CYCLE_NOT_ORIENTED
+    A = _signed_companion(B, cycles)
+    if not is_positive_quasi_cartan(A):
+        return None, NO_POSITIVE_COMPANION
+    return A, None
+
+
 def finite_type_failure(B: ExchangeMatrix) -> str | None:
     """None when the mutation class of B is of finite type, else the reason."""
-    for cycle in chordless_cycles(B):
-        if not is_cyclically_oriented(B, cycle):
-            return CYCLE_NOT_ORIENTED
-    if not is_positive_quasi_cartan(canonical_companion(B)):
-        return NO_POSITIVE_COMPANION
-    return None
+    return _companion_or_failure(B)[1]
 
 
 def is_finite_type(B: ExchangeMatrix) -> bool:
     return finite_type_failure(B) is None
 
 
-def dynkin_type_of(B: ExchangeMatrix) -> DynkinType:
-    """Dynkin type of a connected finite-type matrix.
+def dynkin_type_and_companion(B: ExchangeMatrix) -> tuple[DynkinType, SymMatrix]:
+    """Dynkin type and canonical companion of a connected finite-type matrix.
 
-    Read off the pair (rank, |det A|) of any positive companion A, which is
-    invariant under both sign changes and mutation: A_n gives n+1, D_n gives 4,
-    and E6/E7/E8 give 3/2/1.
+    The type is read off the pair (rank, |det A|) of the positive companion A,
+    which is invariant under both sign changes and mutation: A_n gives n+1,
+    D_n gives 4, and E6/E7/E8 give 3/2/1.  Raises ValueError on input that is
+    not of finite type or not connected.
     """
-    failure = finite_type_failure(B)
+    A, failure = _companion_or_failure(B)
     if failure is not None:
         raise ValueError(f"not finite type: {failure}")
     if not is_connected(B):
         raise ValueError("matrix is not connected")
     n = B.n
-    det = abs(det_bareiss(canonical_companion(B)))
+    det = abs(det_bareiss(A))
     if det == n + 1:
-        return DynkinType("A", n)
+        return DynkinType("A", n), A
     if n >= 4 and det == 4:
-        return DynkinType("D", n)
+        return DynkinType("D", n), A
     if n in (6, 7, 8) and det == 9 - n:
-        return DynkinType("E", n)
+        return DynkinType("E", n), A
     raise ValueError(f"unrecognised determinant {det} at rank {n}")
+
+
+def dynkin_type_of(B: ExchangeMatrix) -> DynkinType:
+    """Dynkin type of a connected finite-type matrix; see dynkin_type_and_companion."""
+    return dynkin_type_and_companion(B)[0]
 
 
 def dumps_exchange_matrix(B: ExchangeMatrix) -> str:
@@ -337,8 +358,8 @@ def loads_exchange_matrix(text: str) -> ExchangeMatrix:
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("expected an object with an 'n' field")
     n = data["n"]
-    if not _is_int(n) or n < 0:
-        raise ValueError("'n' must be a nonnegative integer")
+    if not _is_int(n) or n < 1:
+        raise ValueError("'n' must be a positive integer")
     if "b" in data:
         return ExchangeMatrix(int_rows(data["b"], n, n, "b"))
     if "arrows" in data:

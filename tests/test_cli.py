@@ -114,6 +114,28 @@ def test_companion_command(tmp_path, capsys, pendant_file):
     assert run(["companion", "--input", square]) == 4
 
 
+@pytest.mark.parametrize("command", ["mutate", "recognize", "companion"])
+@pytest.mark.parametrize("text", ['{"n": 0, "b": []}', '{"n": 0, "arrows": []}'])
+def test_empty_quiver_is_malformed_input(tmp_path, capsys, command, text):
+    src = tmp_path / "empty.json"
+    src.write_text(text)
+    extra = ["--k", 0] if command == "mutate" else []
+    assert run([command, "--input", src, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_companion_rejects_disconnected_quiver(tmp_path, capsys):
+    src = tmp_path / "disconnected.json"
+    src.write_text('{"n": 3, "arrows": [[0, 1]]}')
+    assert run(["companion", "--input", src]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: matrix is not connected"]
+
+
 def test_dvectors_command(tmp_path, capsys):
     basis = tmp_path / "basis.json"
     basis.write_text(PENDANT_BASIS_JSON)

@@ -309,6 +309,41 @@ def test_companion_basis_for(pendant_quiver, pendant_basis):
         assert is_companion_basis(companion_basis_for(B), B)
 
 
+def test_find_mutation_sequence_rejects_disconnected_input():
+    with pytest.raises(ValueError, match="not connected"):
+        find_mutation_sequence_to_tree(ExchangeMatrix.from_arrows(3, [(0, 1)]))
+
+
+STANDARD_LABELS = (
+    [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("label", STANDARD_LABELS)
+def test_companion_basis_for_standard_orientation_is_simple_roots(label):
+    psi = companion_basis_for(dynkin_orientation(label))
+    assert psi.rs.dynkin == DynkinType.parse(label)
+    assert psi.gamma == psi.rs.simple_roots
+
+
+@pytest.mark.parametrize(
+    "label,seed",
+    [
+        (label, seed)
+        for label in ("A3", "A6", "D4", "D6", "E6", "E7", "A14", "D12", "E8")
+        for seed in range(3)
+    ],
+)
+def test_companion_basis_for_agrees_with_basis_mutation(label, seed):
+    # the walked basis is a companion basis of B by construction; the one
+    # realized from B alone may differ, but not in its d-vectors
+    walked, B = random_walk_basis(label, 60, f"realize:{label}:{seed}")
+    psi = companion_basis_for(B)
+    assert companion_basis_failure(psi, B) is None
+    assert psi.rs.dynkin == walked.rs.dynkin
+    assert d_vector_set(psi) == d_vector_set(walked)
+
+
 def test_companion_basis_for_branching_types():
     for label in ("D4", "D5", "E6"):
         B = mutate_sequence(dynkin_orientation(label), [0, 2, 1, 3])

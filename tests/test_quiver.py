@@ -13,6 +13,7 @@ from companion_bases.quiver import (
     cartan_counterpart,
     chordless_cycles,
     dumps_exchange_matrix,
+    dynkin_type_and_companion,
     dynkin_type_of,
     finite_type_failure,
     is_connected,
@@ -337,3 +338,19 @@ def test_serialization():
     ]:
         with pytest.raises(ValueError):
             loads_exchange_matrix(bad)
+
+
+def test_empty_quiver_is_rejected_on_reading():
+    with pytest.raises(ValueError, match="positive integer"):
+        loads_exchange_matrix('{"n": 0, "b": []}')
+    with pytest.raises(ValueError, match="positive integer"):
+        loads_exchange_matrix('{"n": 0, "arrows": []}')
+
+
+def test_dynkin_type_and_companion(pendant_quiver):
+    for B in (pendant_quiver, dynkin_orientation("E7"), mutate(dynkin_orientation("D6"), 2)):
+        assert dynkin_type_and_companion(B) == (dynkin_type_of(B), canonical_companion(B))
+    with pytest.raises(ValueError, match="not connected"):
+        dynkin_type_and_companion(ExchangeMatrix.from_arrows(3, [(0, 1)]))
+    with pytest.raises(ValueError, match="not finite type"):
+        dynkin_type_and_companion(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
