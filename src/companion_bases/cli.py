@@ -27,11 +27,9 @@ from .companion import (
 from .quiver import (
     ExchangeMatrix,
     dumps_exchange_matrix,
-    dynkin_type_of,
-    finite_type_failure,
-    is_connected,
     loads_exchange_matrix,
     mutate,
+    recognize,
 )
 from .root_system import DynkinType
 from .type_a import (
@@ -105,14 +103,12 @@ def cmd_recognize(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    failure = finite_type_failure(B)
+    failure, dynkin = recognize(B)
     report: dict = {"finite_type": failure is None}
     if failure is not None:
         report["failing_condition"] = failure
-    elif is_connected(B):
-        report["dynkin_type"] = str(dynkin_type_of(B))
     else:
-        report["dynkin_type"] = None
+        report["dynkin_type"] = None if dynkin is None else str(dynkin)
     _write(args.output, json.dumps(report, sort_keys=True, separators=(",", ":")))
     return 0
 

@@ -32,7 +32,6 @@ from .root_system import (
     Root,
     RootSystem,
     apply_automorphism,
-    basis_columns,
     build_root_system,
     lattice_inverse,
 )
@@ -50,17 +49,19 @@ class MutationSearchError(RuntimeError):
 
 
 class CompanionBasis:
-    """A vertex-indexed tuple of roots, candidate Z-basis of the root lattice."""
+    """A vertex-indexed tuple of roots, candidate Z-basis of the root lattice.
 
-    __slots__ = ("rs", "gamma", "_inverse")
+    `ids` holds the root handles of the elements (see RootSystem.locate), so
+    form values between them are table lookups.
+    """
+
+    __slots__ = ("rs", "gamma", "ids", "_inverse")
 
     def __init__(self, rs: RootSystem, gamma):
         gamma = tuple(tuple(g) for g in gamma)
         if len(gamma) != rs.rank:
             raise ValueError(f"expected {rs.rank} roots, got {len(gamma)}")
-        for g in gamma:
-            if not rs.is_root(g):
-                raise ValueError(f"{g} is not a root")
+        self.ids = tuple(rs.locate(g) for g in gamma)
         self.rs = rs
         self.gamma = gamma
         self._inverse = None
@@ -84,12 +85,13 @@ class CompanionBasis:
         return self._inverse
 
     def is_z_basis(self) -> bool:
-        return det_bareiss(basis_columns(self.gamma)) in (1, -1)
+        # the rows of gamma are the columns of the basis matrix; det M^T = det M
+        return det_bareiss(self.gamma) in (1, -1)
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """Matrix of pairwise form values; a quasi-Cartan matrix when valid."""
-        inner = self.rs.inner
-        return tuple(tuple(inner(gx, gy) for gy in self.gamma) for gx in self.gamma)
+        form = self.rs.form
+        return tuple(tuple(form(h, k) for k in self.ids) for h in self.ids)
 
     def expand(self, v) -> tuple[int, ...]:
         """Coefficients of a lattice vector over this basis."""
@@ -115,11 +117,15 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
         return f"size mismatch: {len(psi.gamma)} roots for {n} vertices"
     if not psi.is_z_basis():
         return "not a Z-basis of the root lattice"
-    inner = psi.rs.inner
+    # a root and its negative share a form row up to sign, and only absolute
+    # values are compared
+    positive = [h if h >= 0 else ~h for h in psi.ids]
+    form_row = psi.rs.form_row
     for x in range(n):
-        gx = psi.gamma[x]
+        row = form_row(positive[x])
+        b_x = B.entries[x]
         for y in range(x + 1, n):
-            if abs(inner(gx, psi.gamma[y])) != abs(B.entries[x][y]):
+            if abs(row[positive[y]]) != abs(b_x[y]):
                 return f"form/arrow mismatch at ({x},{y})"
     return None
 
@@ -271,11 +277,15 @@ def _mutate_basis_unchecked(
 ) -> CompanionBasis:
     rs = psi.rs
     mirror = psi.gamma[k]
+    h_k = psi.ids[k]
     new = list(psi.gamma)
     for x in range(B.n):
         moved = B.entries[x][k] > 0 if inward else B.entries[k][x] > 0
         if moved:
-            new[x] = rs._reflect_raw(psi.gamma[x], mirror)
+            # s_k(gamma_x) = gamma_x - c gamma_k with c = (gamma_x, gamma_k)
+            c = rs.form(psi.ids[x], h_k)
+            if c:
+                new[x] = tuple([g - c * m for g, m in zip(new[x], mirror)])
     return CompanionBasis(rs, tuple(new))
 
 
@@ -347,7 +357,7 @@ def root_with_support_string(psi: CompanionBasis, walk) -> Root:
     rs = psi.rs
     for i, x in enumerate(walk):
         for j in range(i + 1, len(walk)):
-            paired = rs.inner(psi.gamma[x], psi.gamma[walk[j]]) != 0
+            paired = rs.form(psi.ids[x], psi.ids[walk[j]]) != 0
             if paired != (j == i + 1):
                 raise ValueError(
                     f"walk is not a string: vertices {x},{walk[j]} "
@@ -524,12 +534,10 @@ def inward_update_components(
     type A the two agree on realised d-vectors.
     """
     coeffs = psi.expand(alpha)
-    inner = psi.rs.inner
-    mirror = psi.gamma[k]
+    form = psi.rs.form
+    h_k = psi.ids[k]
     incoming = [x for x in range(B.n) if B.entries[x][k] > 0]
-    exact = abs(
-        coeffs[k] + sum(coeffs[x] * inner(psi.gamma[x], mirror) for x in incoming)
-    )
+    exact = abs(coeffs[k] + sum(coeffs[x] * form(psi.ids[x], h_k) for x in incoming))
     estimate = abs(-abs(coeffs[k]) + sum(abs(coeffs[x]) for x in incoming))
     return exact, estimate
 

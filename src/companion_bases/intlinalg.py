@@ -50,6 +50,32 @@ def det_bareiss(rows) -> int:
     return _bareiss_eliminate([list(r) for r in rows], n)
 
 
+def positive_definite_det(rows) -> int:
+    """det of a symmetric integer matrix when it is positive definite, else 0.
+
+    Sylvester's criterion in one fraction-free elimination without row
+    swaps: its k-th pivot is the k-th leading principal minor, so it stops
+    at the first pivot <= 0, and the last pivot is the determinant.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    m = [list(r) for r in rows]
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return 0
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
+        prev = pivot
+    return prev
+
+
 def solve_fractions(rows, rhs) -> list[Fraction] | None:
     """Solve a square system exactly; None if the matrix is singular."""
     n = len(rows)
@@ -124,11 +150,19 @@ def mat_vec(rows, vec) -> tuple[int, ...]:
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in rows)
 
 
+class InconsistentSystemError(ValueError):
+    """A GF(2) system with no solution; `index` is the first equation at fault."""
+
+    def __init__(self, index: int):
+        super().__init__(f"inconsistent equation at index {index}")
+        self.index = index
+
+
 def gf2_solve(equations: list[tuple[int, int]], nvars: int) -> list[int]:
     """Solve a linear system over GF(2), rows given as (coefficient bitmask, rhs bit).
 
-    Free variables are set to 0.  Raises ValueError naming the index of the
-    first equation that makes the system inconsistent.
+    Free variables are set to 0.  Raises InconsistentSystemError naming the
+    index of the first equation that makes the system inconsistent.
     """
     # (mask, rhs, origin index), reduced to row echelon form
     work: list[tuple[int, int, int]] = []
@@ -141,7 +175,7 @@ def gf2_solve(equations: list[tuple[int, int]], nvars: int) -> list[int]:
                 rhs ^= prhs
         if mask == 0:
             if rhs:
-                raise ValueError(f"inconsistent equation at index {idx}")
+                raise InconsistentSystemError(idx)
             continue
         col = (mask & -mask).bit_length() - 1
         pivot_of_col[col] = len(work)

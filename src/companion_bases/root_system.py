@@ -86,7 +86,12 @@ class RootSystem:
     order: graded by coordinate sum, ties broken lexicographically.
     `positive_parents[p]` is (q, i) when positive root p is positive root q
     plus e_i, and (-1, i) when p is e_i itself; parents precede children.
-    Instances are immutable; every method is pure.
+
+    Every root has an integer handle (`locate`): p for positive root p and
+    ~p (that is, -p - 1) for its negative.  `form_row(p)` holds the form
+    values of positive root p with every positive root; each row is computed
+    on first use and memoized, since it depends on the type alone, so no
+    method's result ever changes and every method is pure.
     """
 
     def __init__(self, dynkin: DynkinType):
@@ -104,9 +109,11 @@ class RootSystem:
         roots: list[Root] = []
         parents: list[tuple[int, int]] = []
         layer = {e: (-1, i) for i, e in enumerate(self.simple_roots)}
+        index: dict[Root, int] = {}
         while layer:
             start = len(roots)
             for alpha in sorted(layer):
+                index[alpha] = len(roots)
                 roots.append(alpha)
                 parents.append(layer[alpha])
             layer = {}
@@ -119,7 +126,8 @@ class RootSystem:
                         layer.setdefault(child, (p, i))
         self.positive_roots: tuple[Root, ...] = tuple(roots)
         self.positive_parents: tuple[tuple[int, int], ...] = tuple(parents)
-        self._positive_set = frozenset(roots)
+        self._index = index
+        self._form_rows: list[tuple[int, ...] | None] = [None] * len(roots)
 
     @property
     def rank(self) -> int:
@@ -134,6 +142,44 @@ class RootSystem:
             total -= a[i] * b[j] + a[j] * b[i]
         return total
 
+    def locate(self, v) -> int:
+        """Handle of a root: p for positive root p, ~p for its negative.
+
+        Raises ValueError on a vector of the wrong length or one that is not
+        a root (the zero vector included).
+        """
+        if len(v) != self.rank:
+            raise ValueError("dimension mismatch")
+        t = tuple(v)
+        p = self._index.get(t)
+        if p is not None:
+            return p
+        p = self._index.get(tuple(-c for c in t))
+        if p is not None:
+            return ~p
+        raise ValueError(f"{t} is not a root")
+
+    def form_row(self, p: int) -> tuple[int, ...]:
+        """(alpha_p, alpha_q) for every positive root q, in stored order.
+
+        Computed on first use from the image C alpha_p: the entry of q is its
+        parent's entry plus (alpha_p, e_i) = (C alpha_p)_i.
+        """
+        row = self._form_rows[p]
+        if row is None:
+            alpha = self.positive_roots[p]
+            image = [sum(c * a for c, a in zip(crow, alpha)) for crow in self.cartan]
+            values: list[int] = []
+            for parent, i in self.positive_parents:
+                values.append(image[i] if parent < 0 else values[parent] + image[i])
+            row = self._form_rows[p] = tuple(values)
+        return row
+
+    def form(self, h: int, k: int) -> int:
+        """The bilinear form on two roots given by their handles; a lookup."""
+        value = self.form_row(h if h >= 0 else ~h)[k if k >= 0 else ~k]
+        return value if (h < 0) == (k < 0) else -value
+
     def is_root(self, v) -> bool:
         return self.classify(v) != NOT_ROOT
 
@@ -142,9 +188,9 @@ class RootSystem:
         if len(v) != self.rank:
             raise ValueError("dimension mismatch")
         t = tuple(v)
-        if t in self._positive_set:
+        if t in self._index:
             return POSITIVE_ROOT
-        if tuple(-c for c in t) in self._positive_set:
+        if tuple(-c for c in t) in self._index:
             return NEGATIVE_ROOT
         return NOT_ROOT
 
@@ -170,7 +216,7 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(dynkin: DynkinType) -> RootSystem:
-    """Shared immutable RootSystem for a Dynkin type."""
+    """Shared RootSystem for a Dynkin type; its form rows fill in as they are used."""
     return RootSystem(dynkin)
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from companion_bases import quiver
 from companion_bases.cli import main
 from companion_bases.companion import loads_companion_basis, is_companion_basis
 from companion_bases.quiver import loads_exchange_matrix
@@ -304,3 +305,17 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"dynkin_type": "A2", "finite_type": True}
+
+
+def test_recognize_finds_the_chordless_cycles_once(capsys, monkeypatch):
+    calls = []
+    original = quiver.chordless_cycles
+
+    def counting(B):
+        calls.append(B)
+        return original(B)
+
+    monkeypatch.setattr(quiver, "chordless_cycles", counting)
+    assert run(["recognize", "--type", "E8"]) == 0
+    assert capsys.readouterr().out == '{"dynkin_type":"E8","finite_type":true}\n'
+    assert len(calls) == 1

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from companion_bases.companion import (
     sign_change,
     transform,
 )
-from companion_bases.intlinalg import mat_vec
+from companion_bases.intlinalg import det_bareiss, mat_vec
 from companion_bases.quiver import (
     ExchangeMatrix,
     chordless_cycles,
@@ -32,6 +33,7 @@ from companion_bases.quiver import (
 )
 from companion_bases.root_system import (
     DynkinType,
+    basis_columns,
     build_root_system,
     diagram_automorphisms,
 )
@@ -475,3 +477,86 @@ def test_serialization_roundtrip(pendant_basis, pendant_quiver):
     assert dumps_companion_basis(psi, B) == text
     with pytest.raises(ValueError):
         loads_companion_basis("{}")
+
+
+def failure_by_inner(psi, B):
+    """companion_basis_failure computed from coordinates alone, without handles."""
+    n = B.n
+    if len(psi.gamma) != n:
+        return f"size mismatch: {len(psi.gamma)} roots for {n} vertices"
+    if det_bareiss(basis_columns(psi.gamma)) not in (1, -1):
+        return "not a Z-basis of the root lattice"
+    for x in range(n):
+        for y in range(x + 1, n):
+            if abs(psi.rs.inner(psi.gamma[x], psi.gamma[y])) != abs(B.entries[x][y]):
+                return f"form/arrow mismatch at ({x},{y})"
+    return None
+
+
+def mutated_by_reflection(psi, B, k, inward):
+    """The basis mutation at k computed with RootSystem.reflect."""
+    return tuple(
+        psi.rs.reflect(g, psi.gamma[k])
+        if (B.entries[x][k] if inward else B.entries[k][x]) > 0
+        else g
+        for x, g in enumerate(psi.gamma)
+    )
+
+
+def corruptions(psi, B, rng):
+    """(basis, matrix) pairs near a companion basis, each broken in one way or not."""
+    n = B.n
+    x = rng.randrange(n)
+    yield sign_change(psi, {x}), B
+    if n > 1:
+        y = rng.choice([v for v in range(n) if v != x])
+        for repeat in (psi.gamma[x], tuple(-c for c in psi.gamma[x])):
+            gamma = list(psi.gamma)
+            gamma[y] = repeat
+            yield CompanionBasis(psi.rs, gamma), B
+        rows = [list(r) for r in B.entries]
+        wrong = rng.choice([0, 2, -1] if rows[x][y] else [1, -1])
+        rows[x][y], rows[y][x] = wrong, -wrong
+        yield psi, ExchangeMatrix.from_rows(rows)
+        yield psi, mutate(B, x)
+    yield CompanionBasis(psi.rs, psi.rs.simple_roots), B
+
+
+WALK_LABELS = ["A1", "A2", "A5", "A8", "A12", "D4", "D5", "D8", "D12", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("label", WALK_LABELS)
+@pytest.mark.parametrize("seed", range(2))
+def test_table_checks_and_mutations_match_coordinate_oracles(label, seed):
+    rng = random.Random(f"table:{label}:{seed}")
+    B = dynkin_orientation(label)
+    psi = initial_companion_basis(B)
+    seen = set()
+    for _ in range(40):
+        k = rng.randrange(B.n)
+        inward = rng.random() < 0.5
+        expected = mutated_by_reflection(psi, B, k, inward)
+        psi, B = (mutate_inward if inward else mutate_outward)(psi, B, k)
+        assert psi.gamma == expected
+        assert psi.ids == tuple(psi.rs.locate(g) for g in psi.gamma)
+        assert psi.gram() == tuple(
+            tuple(psi.rs.inner(a, b) for b in psi.gamma) for a in psi.gamma
+        )
+        assert companion_basis_failure(psi, B) is None
+        for bad_psi, bad_B in corruptions(psi, B, rng):
+            reason = failure_by_inner(bad_psi, bad_B)
+            seen.add(reason.split(" at ")[0] if reason else reason)
+            assert companion_basis_failure(bad_psi, bad_B) == reason
+    if B.n > 1:
+        assert seen >= {None, "not a Z-basis of the root lattice", "form/arrow mismatch"}
+
+
+@pytest.mark.parametrize("label", WALK_LABELS)
+def test_constructor_rejects_a_non_root_in_a_walked_basis(label):
+    psi, _ = random_walk_basis(label, 20, f"non-root:{label}")
+    for x, g in enumerate(psi.gamma):
+        for bad in (tuple(2 * c for c in g), tuple(0 for _ in g)):
+            gamma = list(psi.gamma)
+            gamma[x] = bad
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))} is not a root$"):
+                CompanionBasis(psi.rs, gamma)

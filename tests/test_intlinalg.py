@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from companion_bases.intlinalg import (
+    InconsistentSystemError,
     det_bareiss,
     gf2_solve,
     inverse_unimodular,
@@ -182,3 +183,15 @@ def test_gf2_reports_inconsistent_row():
     with pytest.raises(ValueError, match="index 2"):
         gf2_solve([(0b01, 0), (0b10, 1), (0b11, 0)], 2)
     assert gf2_solve([(0b11, 1)], 2) == [1, 0]
+
+
+def test_gf2_inconsistency_is_typed_and_carries_its_index():
+    with pytest.raises(InconsistentSystemError) as info:
+        gf2_solve([(0b01, 0), (0b10, 1), (0b11, 0)], 2)
+    assert info.value.index == 2
+    assert str(info.value) == "inconsistent equation at index 2"
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(InconsistentSystemError) as info:
+        gf2_solve([(0, 1)], 1)
+    assert info.value.index == 0
+    assert str(info.value) == "inconsistent equation at index 0"

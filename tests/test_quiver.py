@@ -3,12 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from companion_bases.intlinalg import (
+    InconsistentSystemError,
+    det_bareiss,
+    positive_definite_det,
+)
 from companion_bases.quiver import (
     CYCLE_NOT_ORIENTED,
     NO_POSITIVE_COMPANION,
     ExchangeMatrix,
+    _signed_companion,
     canonical_companion,
     cartan_counterpart,
     chordless_cycles,
@@ -22,7 +28,9 @@ from companion_bases.quiver import (
     is_positive_quasi_cartan,
     loads_exchange_matrix,
     mutate,
+    mutate_entries,
     mutate_sequence,
+    recognize,
     satisfies_cycle_sign_condition,
     simultaneous_sign_change,
 )
@@ -354,3 +362,127 @@ def test_dynkin_type_and_companion(pendant_quiver):
         dynkin_type_and_companion(ExchangeMatrix.from_arrows(3, [(0, 1)]))
     with pytest.raises(ValueError, match="not finite type"):
         dynkin_type_and_companion(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
+
+
+def mutate_entries_dense(rows, k):
+    """The n^2 mutation formula, entry by entry."""
+    n = len(rows)
+    return tuple(
+        tuple(
+            -rows[x][y]
+            if k in (x, y)
+            else rows[x][y]
+            + (abs(rows[x][k]) * rows[k][y] + rows[x][k] * abs(rows[k][y])) // 2
+            for y in range(n)
+        )
+        for x in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        dynkin_orientation("A6"),
+        dynkin_orientation("D8"),
+        dynkin_orientation("E8"),
+        SQUARE,
+        ExchangeMatrix.from_rows([[0, 2], [-2, 0]]),
+        ExchangeMatrix.from_arrows(3, [(0, 1), (0, 1), (1, 2), (2, 0)]),
+        ExchangeMatrix.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        ExchangeMatrix.from_arrows(3, [(0, 1), (1, 2), (0, 2)]),
+    ],
+)
+def test_mutate_entries_matches_dense_formula_on_walks(start):
+    rng = random.Random(f"dense:{start.entries}")
+    rows = start.entries
+    largest = 0
+    for _ in range(30):
+        k = rng.randrange(len(rows))
+        sparse = mutate_entries(rows, k)
+        assert sparse == mutate_entries_dense(rows, k)
+        assert all(type(row) is tuple for row in sparse)
+        rows = sparse
+        largest = max(largest, max(abs(v) for row in rows for v in row))
+    if not is_finite_type(start):
+        assert largest >= 2  # the walk met multiple arrows
+
+
+def leading_minors_oracle(A):
+    """det A when every leading principal minor is positive, else 0."""
+    minors = [det_bareiss(tuple(row[:k] for row in A[:k])) for k in range(1, len(A) + 1)]
+    return minors[-1] if all(m > 0 for m in minors) else 0
+
+
+@st.composite
+def symmetric_diagonal_two(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    weights = draw(st.sampled_from([[0] * 6 + [-1, 1], [0, 0, -1, 1], [-2, -1, 0, 1, 2]]))
+    A = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            A[i][j] = A[j][i] = draw(st.sampled_from(weights))
+    return tuple(tuple(row) for row in A)
+
+
+@st.composite
+def positive_companions(draw):
+    label = draw(st.sampled_from(["A3", "A7", "A10", "D4", "D7", "D10", "E6", "E7", "E8"]))
+    B = dynkin_orientation(label)
+    for k in draw(st.lists(st.integers(min_value=0, max_value=B.n - 1), max_size=12)):
+        B = mutate(B, k)
+    flips = draw(st.sets(st.integers(min_value=0, max_value=B.n - 1)))
+    return simultaneous_sign_change(canonical_companion(B), flips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(symmetric_diagonal_two(), positive_companions()))
+def test_positivity_in_one_elimination_matches_per_minor_determinants(A):
+    expected = leading_minors_oracle(A)
+    assert positive_definite_det(A) == expected
+    assert is_positive_quasi_cartan(A) == (expected > 0)
+
+
+def test_positivity_oracle_cases_cover_both_verdicts():
+    rng = random.Random(11)
+    verdicts = set()
+    for n in range(1, 11):
+        for trial in range(20):
+            density = 0.05 if trial % 2 else 0.4
+            A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        A[i][j] = A[j][i] = rng.choice([-1, 1])
+            A = tuple(tuple(row) for row in A)
+            expected = leading_minors_oracle(A)
+            verdicts.add((n, expected > 0))
+            assert positive_definite_det(A) == expected
+    assert {(10, True), (10, False)} <= verdicts
+
+
+def test_recognize_agrees_with_the_separate_functions(pendant_quiver):
+    cases = [pendant_quiver, SQUARE, ExchangeMatrix.from_rows([[0, 2], [-2, 0]])]
+    cases += [ExchangeMatrix.from_arrows(3, [(0, 1)]), ExchangeMatrix.from_rows([[0]])]
+    rng = random.Random(7)
+    for label in ("A5", "D6", "E8"):
+        B = dynkin_orientation(label)
+        for _ in range(10):
+            B = mutate(B, rng.randrange(B.n))
+            cases.append(B)
+    for B in cases:
+        failure = finite_type_failure(B)
+        dynkin = dynkin_type_of(B) if failure is None and is_connected(B) else None
+        assert recognize(B) == (failure, dynkin)
+
+
+def test_inconsistent_cycle_signs_name_the_cycle_at_fault():
+    # the wheel with hub 4 and rim 0-1-2-3: the rim's parity equation is the
+    # sum of the four triangles' equations, with the opposite right-hand side
+    B = ExchangeMatrix.from_arrows(
+        5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
+    )
+    cycles = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4), (0, 1, 2, 3)]
+    with pytest.raises(ValueError, match=r"cycle \(0, 1, 2, 3\)$") as info:
+        _signed_companion(B, cycles)
+    assert isinstance(info.value.__cause__, InconsistentSystemError)
+    assert info.value.__cause__.index == 4

@@ -8,6 +8,7 @@ from companion_bases.root_system import (
     NOT_ROOT,
     POSITIVE_ROOT,
     DynkinType,
+    RootSystem,
     apply_automorphism,
     build_root_system,
     diagram_automorphisms,
@@ -275,3 +276,64 @@ def test_expand_inverts_linear_combination(coeffs):
         sum(c * g[i] for c, g in zip(coeffs, PENDANT_GAMMA)) for i in range(4)
     )
     assert expand_in_lattice_basis(A4, combo, PENDANT_GAMMA) == tuple(coeffs)
+
+
+def signed(rs, h):
+    """The root with handle h: positive root h, or the negative of ~h."""
+    alpha = rs.positive_roots[h if h >= 0 else ~h]
+    return alpha if h >= 0 else tuple(-c for c in alpha)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_form_table_matches_inner_on_every_pair_of_roots(label):
+    rs = RootSystem(DynkinType.parse(label))
+    count = len(rs.positive_roots)
+    handles = list(range(count)) + [~p for p in range(count)]
+    for h in handles:
+        a = signed(rs, h)
+        for k in handles:
+            assert rs.form(h, k) == rs.inner(a, signed(rs, k))
+    for p in range(count):
+        assert rs.form_row(p) == tuple(
+            rs.inner(rs.positive_roots[p], beta) for beta in rs.positive_roots
+        )
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_locate_round_trips_every_root(label):
+    rs = build_root_system(DynkinType.parse(label))
+    for p, alpha in enumerate(rs.positive_roots):
+        assert rs.locate(alpha) == p
+        assert rs.locate(list(alpha)) == p
+        assert rs.locate(tuple(-c for c in alpha)) == ~p
+    for h in range(-len(rs.positive_roots), len(rs.positive_roots)):
+        assert rs.locate(signed(rs, h)) == h
+
+
+@pytest.mark.parametrize("label", ["A1", "A4", "D4", "D6", "E6", "E8"])
+def test_locate_rejects_non_roots(label):
+    rs = build_root_system(DynkinType.parse(label))
+    n = rs.rank
+    zero = (0,) * n
+    with pytest.raises(ValueError, match=r"^\(0(, 0)*,?\) is not a root$"):
+        rs.locate(zero)
+    highest = rs.positive_roots[-1]
+    for v in [
+        tuple(2 * c for c in rs.simple_roots[0]),
+        tuple(a + b for a, b in zip(highest, rs.simple_roots[0])),
+        tuple(-2 * c for c in highest),
+    ]:
+        assert rs.classify(v) == NOT_ROOT
+        with pytest.raises(ValueError, match="is not a root"):
+            rs.locate(v)
+    for bad in [zero[:-1], zero + (0,), rs.simple_roots[0] + (0,), ()]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rs.locate(bad)
+
+
+def test_form_rows_fill_lazily():
+    rs = RootSystem(DynkinType.parse("E8"))
+    assert rs.form(0, 0) == 2
+    assert rs.form(~3, 3) == -2
+    filled = [p for p in range(len(rs.positive_roots)) if rs._form_rows[p] is not None]
+    assert filled == [0, 3]
