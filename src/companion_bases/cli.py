@@ -164,9 +164,15 @@ def cmd_verify_type_a(args) -> int:
     if n is None or n < 1:
         print("error: --n must be a positive integer", file=sys.stderr)
         return EXIT_PARSE
+    if args.walk_length is not None and args.walk_length < 1:
+        print("error: --walk-length must be a positive integer", file=sys.stderr)
+        return EXIT_PARSE
+    if args.jobs < 1:
+        print("error: --jobs must be a positive integer", file=sys.stderr)
+        return EXIT_PARSE
     if args.mode == "exhaustive":
-        if n > 6:
-            print("error: exhaustive mode is capped at n=6", file=sys.stderr)
+        if n > 8:
+            print("error: exhaustive mode is capped at n=8", file=sys.stderr)
             return EXIT_PARSE
         triangulations = enumerate_triangulations(n)
     else:

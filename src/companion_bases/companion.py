@@ -21,6 +21,7 @@ from .quiver import (
     finite_type_failure,
     int_rows,
     is_connected,
+    load_json,
     loads_exchange_matrix,
     mutate,
     mutate_entries,
@@ -445,47 +446,62 @@ def _gram_realization(rs: RootSystem, A) -> tuple[Root, ...] | None:
     in index order, then the other positive roots in stored order, then the
     negatives of all of these, and keeps the first whose form value with every
     root placed so far is the prescribed entry.
+
+    Candidates are root handles, so every test is a form-table lookup: the
+    candidates come from the table as the roots with the prescribed value
+    against the breadth-first parent (RootSystem.with_form_value, in the
+    order above), and each other placed root removes those whose table entry
+    differs.
     """
     n = rs.rank
     order = [0]
+    parent = [0] * n
     seen = {0}
     for v in order:
         for u in range(n):
             if A[v][u] and u not in seen:
                 seen.add(u)
+                parent[u] = v
                 order.append(u)
-    positives = list(rs.simple_roots) + [
-        alpha for alpha in rs.positive_roots if sum(alpha) > 1
-    ]
-    candidates = positives + [tuple(-c for c in alpha) for alpha in positives]
-    cartan = rs.cartan
-    gamma: list[Root] = [()] * n
-    # C gamma_u for every placed u: the form value of a candidate with
-    # gamma_u is then one dot product
-    images: list[tuple[int, ...]] = [()] * n
+    with_form_value = rs.with_form_value
+    form_row = rs.form_row
+    # vertex u holds signs[u] * alpha_p for p = ps[u]; rows[u] is alpha_p's form row
+    ps = [0] * n
+    signs = [1] * n
+    rows: list[tuple[int, ...]] = [()] * n
+
+    def place(v: int, p: int, s: int) -> None:
+        ps[v], signs[v], rows[v] = p, s, form_row(p)
 
     def extend(pos: int) -> bool:
         if pos == n:
             return True
         v = order[pos]
-        # nonzero targets first: they reject the most candidates
-        targets = sorted(
-            ((images[u], A[v][u]) for u in order[:pos]), key=lambda t: t[1] == 0
-        )
-        for alpha in candidates if pos else (rs.simple_roots[0],):
-            if all(
-                sum(a * c for a, c in zip(alpha, image)) == value
-                for image, value in targets
-            ):
-                gamma[v] = alpha
-                images[v] = tuple(
-                    sum(r * a for r, a in zip(row, alpha)) for row in cartan
-                )
+        u0 = parent[v]
+        a_v = A[v]
+        # candidate s * alpha_p fits placed u when row_u[p] * s * s_u == A[v][u],
+        # that is row_u[p] == A[v][u] * s_u * s.  The parent's value picks the
+        # candidates; the other nonzero targets reject the most of them.
+        placed = [u for u in order[:pos] if u != u0]
+        targets = [(rows[u], a_v[u] * signs[u]) for u in placed if a_v[u]]
+        zeros = [rows[u] for u in placed if not a_v[u]]
+        for s in (1, -1):
+            found = with_form_value(ps[u0], a_v[u0] * signs[u0] * s)
+            for row, w in targets:
+                w *= s
+                found = [p for p in found if row[p] == w]
+            for row in zeros:
+                found = [p for p in found if not row[p]]
+            for p in found:
+                place(v, p, s)
                 if extend(pos + 1):
                     return True
         return False
 
-    return tuple(gamma) if extend(0) else None
+    place(0, rs.locate(rs.simple_roots[0]), 1)
+    if not extend(1):
+        return None
+    return tuple(rs.root(p if s > 0 else ~p) for p, s in zip(ps, signs))
 
 
 def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
@@ -591,7 +607,7 @@ def loads_companion_basis(text: str) -> tuple[CompanionBasis, ExchangeMatrix]:
     Raises ValueError on anything else, including a quiver whose size is not
     the type's rank and a gamma that is not rank lists of rank integers.
     """
-    data = json.loads(text)
+    data = load_json(text)
     if not isinstance(data, dict) or not {"type", "quiver", "gamma"} <= set(data):
         raise ValueError("expected an object with type, quiver and gamma fields")
     if not isinstance(data["type"], str):

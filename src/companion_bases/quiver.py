@@ -382,9 +382,17 @@ def int_rows(value, n_rows: int, n_cols: int, name: str) -> tuple[tuple[int, ...
     return tuple(tuple(row) for row in value)
 
 
+def load_json(text: str):
+    """json.loads, raising ValueError also on nesting too deep to parse."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def loads_exchange_matrix(text: str) -> ExchangeMatrix:
     """Read {"n": int, "b": [[int]]} or {"n": int, "arrows": [[s,t]]}."""
-    data = json.loads(text)
+    data = load_json(text)
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("expected an object with an 'n' field")
     n = data["n"]

@@ -92,6 +92,9 @@ class RootSystem:
     values of positive root p with every positive root; each row is computed
     on first use and memoized, since it depends on the type alone, so no
     method's result ever changes and every method is pure.
+    `simple_first` lists the positive handles with the simple roots first,
+    in index order, then the other positive roots in stored order;
+    `with_form_value(p, w)` lists those with form value w against root p.
     """
 
     def __init__(self, dynkin: DynkinType):
@@ -127,7 +130,12 @@ class RootSystem:
         self.positive_roots: tuple[Root, ...] = tuple(roots)
         self.positive_parents: tuple[tuple[int, int], ...] = tuple(parents)
         self._index = index
+        # the simple roots are the roots of height 1, stored first
+        self.simple_first: tuple[int, ...] = tuple(
+            index[e] for e in self.simple_roots
+        ) + tuple(range(n, len(roots)))
         self._form_rows: list[tuple[int, ...] | None] = [None] * len(roots)
+        self._levels: list[dict[int, tuple[int, ...]] | None] = [None] * len(roots)
 
     @property
     def rank(self) -> int:
@@ -159,6 +167,12 @@ class RootSystem:
             return ~p
         raise ValueError(f"{t} is not a root")
 
+    def root(self, h: int) -> Root:
+        """The root with handle h; the inverse of locate."""
+        if h >= 0:
+            return self.positive_roots[h]
+        return tuple(-c for c in self.positive_roots[~h])
+
     def form_row(self, p: int) -> tuple[int, ...]:
         """(alpha_p, alpha_q) for every positive root q, in stored order.
 
@@ -174,6 +188,20 @@ class RootSystem:
                 values.append(image[i] if parent < 0 else values[parent] + image[i])
             row = self._form_rows[p] = tuple(values)
         return row
+
+    def with_form_value(self, p: int, value: int) -> tuple[int, ...]:
+        """Positive handles q with (alpha_p, alpha_q) = value, in simple_first order.
+
+        Grouped from form_row(p) on first use and memoized, like the row.
+        """
+        levels = self._levels[p]
+        if levels is None:
+            row = self.form_row(p)
+            grouped: dict[int, list[int]] = {}
+            for q in self.simple_first:
+                grouped.setdefault(row[q], []).append(q)
+            levels = self._levels[p] = {w: tuple(qs) for w, qs in grouped.items()}
+        return levels.get(value, ())
 
     def form(self, h: int, k: int) -> int:
         """The bilinear form on two roots given by their handles; a lookup."""

@@ -319,3 +319,53 @@ def test_recognize_finds_the_chordless_cycles_once(capsys, monkeypatch):
     assert run(["recognize", "--type", "E8"]) == 0
     assert capsys.readouterr().out == '{"dynkin_type":"E8","finite_type":true}\n'
     assert len(calls) == 1
+
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("mutate", DEEP),
+        ("recognize", DEEP),
+        ("companion", DEEP),
+        ("dvectors", DEEP),
+        ("recognize", '{"n": 2, "b": ' + DEEP + "}"),
+        ("dvectors", '{"type": "A2", "gamma": [], "quiver": ' + DEEP + "}"),
+    ],
+)
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, command, text):
+    src = tmp_path / "deep.json"
+    src.write_text(text)
+    extra = ["--k", 0] if command == "mutate" else []
+    assert run([command, "--input", src, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--mode", "sample", "--walk-length", -5],
+        ["--mode", "sample", "--walk-length", 0],
+        ["--mode", "exhaustive", "--walk-length", 0],
+        ["--jobs", -2],
+        ["--jobs", 0],
+    ],
+)
+def test_verify_type_a_rejects_a_vacuous_run(capsys, extra):
+    assert run(["verify-type-a", "--n", 4, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_verify_type_a_exhaustive_at_n_7(tmp_path):
+    out = tmp_path / "report.jsonl"
+    assert run(["verify-type-a", "--n", 7, "--mode", "exhaustive", "--output", out]) == 0
+    summary = json.loads(out.read_text().splitlines()[-1])
+    assert summary["total"] == summary["strong"] == 1430

@@ -1,11 +1,14 @@
+import json
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from companion_bases.cli import main
 from companion_bases.companion import (
     CompanionBasis,
+    _gram_realization,
     companion_basis_failure,
     companion_basis_for,
     d_vector_set,
@@ -27,6 +30,7 @@ from companion_bases.intlinalg import det_bareiss, mat_vec
 from companion_bases.quiver import (
     ExchangeMatrix,
     chordless_cycles,
+    dynkin_type_and_companion,
     mutate,
     mutate_sequence,
     simultaneous_sign_change,
@@ -37,7 +41,11 @@ from companion_bases.root_system import (
     build_root_system,
     diagram_automorphisms,
 )
-from companion_bases.type_a import enumerate_triangulations, quiver_from_triangulation
+from companion_bases.type_a import (
+    enumerate_triangulations,
+    quiver_from_triangulation,
+    random_triangulation,
+)
 
 from conftest import PENDANT_DVECTORS, dynkin_orientation
 
@@ -560,3 +568,100 @@ def test_constructor_rejects_a_non_root_in_a_walked_basis(label):
             gamma[x] = bad
             with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))} is not a root$"):
                 CompanionBasis(psi.rs, gamma)
+
+
+def gram_realization_by_dot_products(rs, A):
+    """The realization backtracking on coordinate vectors, one dot product per test."""
+    n = rs.rank
+    order = [0]
+    seen = {0}
+    for v in order:
+        for u in range(n):
+            if A[v][u] and u not in seen:
+                seen.add(u)
+                order.append(u)
+    positives = list(rs.simple_roots) + [
+        alpha for alpha in rs.positive_roots if sum(alpha) > 1
+    ]
+    candidates = positives + [tuple(-c for c in alpha) for alpha in positives]
+    gamma = [()] * n
+    images = [()] * n
+
+    def extend(pos):
+        if pos == n:
+            return True
+        v = order[pos]
+        targets = [(images[u], A[v][u]) for u in order[:pos]]
+        for alpha in candidates if pos else (rs.simple_roots[0],):
+            if all(
+                sum(a * c for a, c in zip(alpha, image)) == value
+                for image, value in targets
+            ):
+                gamma[v] = alpha
+                images[v] = tuple(
+                    sum(r * a for r, a in zip(row, alpha)) for row in rs.cartan
+                )
+                if extend(pos + 1):
+                    return True
+        return False
+
+    return tuple(gamma) if extend(0) else None
+
+
+def relabelled(B, perm):
+    n = B.n
+    return ExchangeMatrix(
+        tuple(tuple(B.entries[perm[x]][perm[y]] for y in range(n)) for x in range(n))
+    )
+
+
+def mutated_and_relabelled(label, rng, count):
+    """The standard orientation, then seeded mutations of it, each also relabelled."""
+    B = dynkin_orientation(label)
+    quivers = [B]
+    for _ in range(count):
+        B = mutate_sequence(B, [rng.randrange(B.n) for _ in range(rng.randrange(1, 40))])
+        perm = list(range(B.n))
+        rng.shuffle(perm)
+        quivers += [B, relabelled(B, perm)]
+    return quivers
+
+
+def assert_realizations_agree(B):
+    dynkin, A = dynkin_type_and_companion(B)
+    rs = build_root_system(dynkin)
+    expected = gram_realization_by_dot_products(rs, A)
+    assert expected is not None
+    assert _gram_realization(rs, A) == expected
+
+
+ORACLE_LABELS = (
+    [f"A{n}" for n in range(1, 15)] + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_table_realization_matches_dot_product_oracle(label):
+    for B in mutated_and_relabelled(label, random.Random(f"oracle:{label}"), 4):
+        assert_realizations_agree(B)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_table_realization_matches_dot_product_oracle_on_triangulations(n):
+    rng = random.Random(f"oracle-triangulation:{n}")
+    for _ in range(4):
+        assert_realizations_agree(quiver_from_triangulation(random_triangulation(n, rng)))
+
+
+@pytest.mark.parametrize("label", ["A5", "A11", "D6", "D10", "E7", "E8"])
+def test_companion_cli_prints_the_oracle_basis(tmp_path, capsys, label):
+    path = tmp_path / "quiver.json"
+    for B in mutated_and_relabelled(label, random.Random(f"oracle-cli:{label}"), 2):
+        dynkin, A = dynkin_type_and_companion(B)
+        rs = build_root_system(dynkin)
+        expected = CompanionBasis(rs, gram_realization_by_dot_products(rs, A))
+        path.write_text(json.dumps({"n": B.n, "b": [list(row) for row in B.entries]}))
+        assert main(["companion", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == dumps_companion_basis(expected, B) + "\n"
+        assert captured.err == ""

@@ -337,3 +337,31 @@ def test_form_rows_fill_lazily():
     assert rs.form(~3, 3) == -2
     filled = [p for p in range(len(rs.positive_roots)) if rs._form_rows[p] is not None]
     assert filled == [0, 3]
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_root_inverts_locate(label):
+    rs = build_root_system(DynkinType.parse(label))
+    for h in range(-len(rs.positive_roots), len(rs.positive_roots)):
+        assert rs.root(h) == signed(rs, h)
+        assert rs.locate(rs.root(h)) == h
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_simple_first_lists_simple_roots_by_index_then_the_rest_in_order(label):
+    rs = RootSystem(DynkinType.parse(label))
+    roots = [rs.positive_roots[p] for p in rs.simple_first]
+    n = rs.rank
+    assert roots[:n] == list(rs.simple_roots)
+    assert roots[n:] == [alpha for alpha in rs.positive_roots if sum(alpha) > 1]
+
+
+@pytest.mark.parametrize("label", ["A1", "A5", "A12", "D4", "D7", "E6", "E8"])
+def test_with_form_value_selects_from_the_form_row_in_order(label):
+    rs = RootSystem(DynkinType.parse(label))
+    for p in range(len(rs.positive_roots)):
+        row = rs.form_row(p)
+        for value in (-2, -1, 0, 1, 2, 3):
+            assert rs.with_form_value(p, value) == tuple(
+                q for q in rs.simple_first if row[q] == value
+            )
