@@ -4,15 +4,17 @@ Subcommands: mutate, recognize, companion, dvectors, verify-type-a.  All JSON
 output uses sorted keys and no extra whitespace, so repeated runs are
 byte-identical.  Vertex indices are 0-based; polygon corners are 1-based.
 
-Exit codes: 0 success, 2 malformed input, 3 bad vertex index, 4 construction
-or search failure, 5 verification found a counterexample.
+Exit codes: 0 success, 2 malformed input (also conflicting options and files
+that cannot be read or written), 3 bad vertex index, 4 construction or search
+failure, 5 verification found a counterexample.  Every failure prints one
+"error:" line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -26,9 +28,10 @@ from .companion import (
 )
 from .quiver import (
     ExchangeMatrix,
+    dump_json,
     dumps_exchange_matrix,
     loads_exchange_matrix,
-    mutate,
+    mutate_sequence,
     recognize,
 )
 from .root_system import DynkinType
@@ -45,6 +48,10 @@ EXIT_PARSE = 2
 EXIT_INDEX = 3
 EXIT_SEARCH = 4
 EXIT_VERIFY = 5
+
+
+class CommandError(Exception):
+    """A command that cannot finish; args are (message, exit code), printed by main."""
 
 
 def _read(path: str | None) -> str:
@@ -64,66 +71,61 @@ def _write(path: str | None, text: str) -> None:
 
 def _load_matrix(args) -> ExchangeMatrix:
     """Matrix from --input, or the standard orientation of --type."""
-    if args.type is not None and args.input is None:
-        dt = DynkinType.parse(args.type)
-        return ExchangeMatrix.from_arrows(dt.rank, dt.edges())
-    return loads_exchange_matrix(_read(args.input))
+    try:
+        if args.type is not None:
+            dt = DynkinType.parse(args.type)
+            return ExchangeMatrix.from_arrows(dt.rank, dt.edges())
+        return loads_exchange_matrix(_read(args.input))
+    except ValueError as exc:
+        raise CommandError(str(exc), EXIT_PARSE) from None
+
+
+def _vertex_sequence(text: str) -> list[int]:
+    """Comma-separated vertices; empty parts are skipped, others must be -?[0-9]+."""
+    parts = [part for part in text.split(",") if part.strip() != ""]
+    try:
+        ks = [int(part) for part in parts]
+    except ValueError as exc:
+        raise CommandError(f"bad sequence: {exc}", EXIT_PARSE) from None
+    # int() also takes underscores, plus signs and non-ASCII digits
+    if not all(re.fullmatch(r"\s*-?[0-9]+\s*", part) for part in parts):
+        raise CommandError("bad sequence: vertices must be ASCII integers", EXIT_PARSE)
+    return ks
 
 
 def cmd_mutate(args) -> int:
-    try:
-        B = _load_matrix(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    B = _load_matrix(args)
     if args.sequence is not None:
-        try:
-            ks = [int(part) for part in args.sequence.split(",") if part.strip() != ""]
-        except ValueError as exc:
-            print(f"error: bad sequence: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    else:
+        ks = _vertex_sequence(args.sequence)
+    elif args.k is not None:
         ks = [args.k]
-        if args.k is None:
-            print("error: --k or --sequence is required", file=sys.stderr)
-            return EXIT_PARSE
+    else:
+        raise CommandError("--k or --sequence is required", EXIT_PARSE)
     try:
-        for k in ks:
-            B = mutate(B, k)
+        B = mutate_sequence(B, ks)
     except IndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDEX
+        raise CommandError(str(exc), EXIT_INDEX) from None
     _write(args.output, dumps_exchange_matrix(B))
     return 0
 
 
 def cmd_recognize(args) -> int:
-    try:
-        B = _load_matrix(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    failure, dynkin = recognize(B)
+    failure, dynkin = recognize(_load_matrix(args))
     report: dict = {"finite_type": failure is None}
     if failure is not None:
         report["failing_condition"] = failure
     else:
         report["dynkin_type"] = None if dynkin is None else str(dynkin)
-    _write(args.output, json.dumps(report, sort_keys=True, separators=(",", ":")))
+    _write(args.output, dump_json(report))
     return 0
 
 
 def cmd_companion(args) -> int:
-    try:
-        B = _load_matrix(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    B = _load_matrix(args)
     try:
         psi = companion_basis_for(B)
     except (ValueError, MutationSearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
+        raise CommandError(str(exc), EXIT_SEARCH) from None
     _write(args.output, dumps_companion_basis(psi, B))
     return 0
 
@@ -131,20 +133,18 @@ def cmd_companion(args) -> int:
 def cmd_dvectors(args) -> int:
     try:
         psi, B = loads_companion_basis(_read(args.input))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except ValueError as exc:
+        raise CommandError(str(exc), EXIT_PARSE) from None
     failure = companion_basis_failure(psi, B)
     if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-        return EXIT_SEARCH
+        raise CommandError(failure, EXIT_SEARCH)
     dset = d_vector_set(psi)
     rows = sorted(
         ({"d": list(d), "root": list(dset.root_of(d))} for d in dset.vectors),
         key=lambda row: row["d"],
     )
     report = {"type": str(psi.rs.dynkin), "count": len(rows), "vectors": rows}
-    _write(args.output, json.dumps(report, sort_keys=True, separators=(",", ":")))
+    _write(args.output, dump_json(report))
     return 0
 
 
@@ -162,18 +162,14 @@ def _verify_one(T: Triangulation) -> dict:
 def cmd_verify_type_a(args) -> int:
     n = args.n
     if n is None or n < 1:
-        print("error: --n must be a positive integer", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError("--n must be a positive integer", EXIT_PARSE)
     if args.walk_length is not None and args.walk_length < 1:
-        print("error: --walk-length must be a positive integer", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError("--walk-length must be a positive integer", EXIT_PARSE)
     if args.jobs < 1:
-        print("error: --jobs must be a positive integer", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError("--jobs must be a positive integer", EXIT_PARSE)
     if args.mode == "exhaustive":
         if n > 8:
-            print("error: exhaustive mode is capped at n=8", file=sys.stderr)
-            return EXIT_PARSE
+            raise CommandError("exhaustive mode is capped at n=8", EXIT_PARSE)
         triangulations = enumerate_triangulations(n)
     else:
         rng = random.Random(args.seed)
@@ -185,7 +181,7 @@ def cmd_verify_type_a(args) -> int:
     else:
         records = [_verify_one(T) for T in triangulations]
     records.sort(key=lambda r: r["diagonals"])
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+    lines = [dump_json(r) for r in records]
     summary = {
         "mode": args.mode,
         "n": n,
@@ -193,7 +189,7 @@ def cmd_verify_type_a(args) -> int:
         "total": len(records),
         "strong": sum(1 for r in records if r["strong"]),
     }
-    lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))
+    lines.append(dump_json(summary))
     _write(args.output, "\n".join(lines))
     if args.verbose:
         print(f"{summary['strong']}/{summary['total']} strong", file=sys.stderr)
@@ -208,32 +204,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_args(p):
-        p.add_argument("--input", default=None, help="input file ('-' for stdin)")
+    def io_args(p, with_type=False):
+        source = p.add_mutually_exclusive_group() if with_type else p
+        source.add_argument("--input", default=None, help="input file ('-' for stdin)")
+        if with_type:
+            source.add_argument(
+                "--type",
+                default=None,
+                help="use the standard orientation of this Dynkin type as input",
+            )
         p.add_argument("--output", default=None, help="output file ('-' for stdout)")
 
-    def type_arg(p):
-        p.add_argument(
-            "--type",
-            default=None,
-            help="use the standard orientation of this Dynkin type as input",
-        )
-
     p = sub.add_parser("mutate", help="mutate an exchange matrix")
-    io_args(p)
-    type_arg(p)
-    p.add_argument("--k", type=int, default=None, help="vertex to mutate (0-based)")
-    p.add_argument("--sequence", default=None, help="comma-separated vertices")
+    io_args(p, with_type=True)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--k", type=int, default=None, help="vertex to mutate (0-based)")
+    g.add_argument("--sequence", default=None, help="comma-separated vertices")
     p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("recognize", help="finite-type recognition and Dynkin type")
-    io_args(p)
-    type_arg(p)
+    io_args(p, with_type=True)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("companion", help="construct a companion basis")
-    io_args(p)
-    type_arg(p)
+    io_args(p, with_type=True)
     p.set_defaults(func=cmd_companion)
 
     p = sub.add_parser("dvectors", help="d-vectors of all positive roots")
@@ -262,7 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        message, code = exc.args
+    except OSError as exc:
+        message, code = exc, EXIT_PARSE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

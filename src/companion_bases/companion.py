@@ -10,19 +10,20 @@ quiver alone.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 from .intlinalg import det_bareiss, mat_vec
 from .quiver import (
     ExchangeMatrix,
+    _adjacency,
+    dump_json,
     dynkin_type_and_companion,
     dynkin_type_of,
+    exchange_matrix_from_data,
     finite_type_failure,
     int_rows,
     is_connected,
     load_json,
-    loads_exchange_matrix,
     mutate,
     mutate_entries,
 )
@@ -34,6 +35,7 @@ from .root_system import (
     RootSystem,
     apply_automorphism,
     build_root_system,
+    graph_isomorphisms,
     lattice_inverse,
 )
 
@@ -160,38 +162,6 @@ def _tree_family(n: int, adjacency) -> DynkinType:
     raise ValueError("underlying tree is not a Dynkin diagram")
 
 
-def _tree_isomorphism(n: int, adjacency, dynkin: DynkinType) -> list[int]:
-    """First vertex -> simple-index bijection matching the Dynkin diagram."""
-    target = [set() for _ in range(n)]
-    for i, j in dynkin.edges():
-        target[i].add(j)
-        target[j].add(i)
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        for cand in range(n):
-            if used[cand] or len(target[cand]) != len(adjacency[pos]):
-                continue
-            if all(
-                (prev in adjacency[pos]) == (image[prev] in target[cand])
-                for prev in range(pos)
-            ):
-                image[pos] = cand
-                used[cand] = True
-                if extend(pos + 1):
-                    return True
-                used[cand] = False
-        image[pos] = -1
-        return False
-
-    if not extend(0):
-        raise ValueError("quiver is not an orientation of the Dynkin diagram")
-    return image
-
-
 def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
     """Simple roots placed on a quiver that orients a Dynkin diagram.
 
@@ -201,24 +171,13 @@ def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
     n = B.n
     if not B.has_unit_entries():
         raise ValueError("entries outside {0,+-1}")
-    edges = B.underlying_edges()
-    if len(edges) != n - 1:
+    if len(B.underlying_edges()) != n - 1 or not is_connected(B):
         raise ValueError("underlying graph is not a tree")
-    adjacency = [set() for _ in range(n)]
-    for x, y in edges:
-        adjacency[x].add(y)
-        adjacency[y].add(x)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        raise ValueError("underlying graph is not a tree")
+    adjacency = _adjacency(B)
     dynkin = _tree_family(n, adjacency)
-    image = _tree_isomorphism(n, adjacency, dynkin)
+    image = next(graph_isomorphisms(adjacency, dynkin.adjacency()), None)
+    if image is None:
+        raise ValueError("quiver is not an orientation of the Dynkin diagram")
     rs = build_root_system(dynkin)
     return CompanionBasis(rs, tuple(rs.simple_roots[image[x]] for x in range(n)))
 
@@ -253,29 +212,30 @@ def mutate_inward(
     psi: CompanionBasis, B: ExchangeMatrix, k: int
 ) -> tuple[CompanionBasis, ExchangeMatrix]:
     """Reflect the elements at tails of arrows into k; pairs with mutate(B, k)."""
-    if not 0 <= k < B.n:
-        raise IndexError(f"vertex {k} out of range for n={B.n}")
-    failure = companion_basis_failure(psi, B)
-    if failure is not None:
-        raise ValueError(f"invalid companion basis: {failure}")
-    return _mutate_basis_unchecked(psi, B, k, inward=True), mutate(B, k)
+    return _mutate_basis(psi, B, k, inward=True)
 
 
 def mutate_outward(
     psi: CompanionBasis, B: ExchangeMatrix, k: int
 ) -> tuple[CompanionBasis, ExchangeMatrix]:
     """Reflect the elements at heads of arrows out of k; pairs with mutate(B, k)."""
+    return _mutate_basis(psi, B, k, inward=False)
+
+
+def _mutate_basis(
+    psi: CompanionBasis, B: ExchangeMatrix, k: int, inward: bool
+) -> tuple[CompanionBasis, ExchangeMatrix]:
+    """mutate_inward or mutate_outward: the pair (mutated psi, mutate(B, k)).
+
+    Checks that k is a vertex and psi a companion basis for B, then reflects
+    in gamma_k the elements at the tails of arrows into k (inward) or at the
+    heads of arrows out of k (outward).
+    """
     if not 0 <= k < B.n:
         raise IndexError(f"vertex {k} out of range for n={B.n}")
     failure = companion_basis_failure(psi, B)
     if failure is not None:
         raise ValueError(f"invalid companion basis: {failure}")
-    return _mutate_basis_unchecked(psi, B, k, inward=False), mutate(B, k)
-
-
-def _mutate_basis_unchecked(
-    psi: CompanionBasis, B: ExchangeMatrix, k: int, inward: bool
-) -> CompanionBasis:
     rs = psi.rs
     mirror = psi.gamma[k]
     h_k = psi.ids[k]
@@ -287,7 +247,7 @@ def _mutate_basis_unchecked(
             c = rs.form(psi.ids[x], h_k)
             if c:
                 new[x] = tuple([g - c * m for g, m in zip(new[x], mirror)])
-    return CompanionBasis(rs, tuple(new))
+    return CompanionBasis(rs, tuple(new)), mutate(B, k)
 
 
 class DVectorSet:
@@ -390,28 +350,11 @@ def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> lis
         raise ValueError("matrix is not connected")
     n = B.n
 
+    # mutation keeps the graph connected (an edge it removes joins two
+    # neighbours of k), so a mutated B is a tree exactly when it has n - 1 edges
     def is_tree(entries) -> bool:
-        edges = sum(
-            1 for x in range(n) for y in range(x + 1, n) if entries[x][y]
-        )
-        if edges != n - 1:
-            return False
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for x in range(n):
-            for y in range(x + 1, n):
-                if entries[x][y]:
-                    ra, rb = find(x), find(y)
-                    if ra == rb:
-                        return False
-                    parent[ra] = rb
-        return True
+        edges = sum(1 for x in range(n) for y in range(x + 1, n) if entries[x][y])
+        return edges == n - 1
 
     start = B.entries
     if is_tree(start):
@@ -584,20 +527,16 @@ def phi_in_type_a(
 
 def dumps_d_vector_set(dset: DVectorSet) -> str:
     """Lexicographically sorted JSON array of the d-vectors; golden-file stable."""
-    return json.dumps(
-        [list(d) for d in dset.sorted_vectors()], separators=(",", ":")
-    )
+    return dump_json([list(d) for d in dset.sorted_vectors()])
 
 
 def dumps_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> str:
-    return json.dumps(
+    return dump_json(
         {
             "type": str(psi.rs.dynkin),
             "quiver": {"n": B.n, "b": [list(row) for row in B.entries]},
             "gamma": [list(g) for g in psi.gamma],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
 
 
@@ -613,7 +552,7 @@ def loads_companion_basis(text: str) -> tuple[CompanionBasis, ExchangeMatrix]:
     if not isinstance(data["type"], str):
         raise ValueError("'type' must be a Dynkin label such as \"E8\"")
     dynkin = DynkinType.parse(data["type"])
-    B = loads_exchange_matrix(json.dumps(data["quiver"]))
+    B = exchange_matrix_from_data(data["quiver"])
     if B.n != dynkin.rank:
         raise ValueError(
             f"size mismatch: quiver has {B.n} vertices, {dynkin} has rank {dynkin.rank}"

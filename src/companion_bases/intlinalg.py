@@ -97,20 +97,6 @@ def solve_fractions(rows, rhs) -> list[Fraction] | None:
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
-def solve_int(rows, rhs) -> tuple[int, ...]:
-    """Solve a square system over the integers.
-
-    Raises ValueError if the matrix is singular or the unique rational
-    solution is not integral.
-    """
-    sol = solve_fractions(rows, rhs)
-    if sol is None:
-        raise ValueError("matrix is singular")
-    if any(x.denominator != 1 for x in sol):
-        raise ValueError("no integer solution")
-    return tuple(int(x) for x in sol)
-
-
 def inverse_unimodular(rows) -> IntMatrix:
     """Inverse of an integer matrix with determinant +-1, as an integer matrix.
 

@@ -14,7 +14,7 @@ from .intlinalg import InconsistentSystemError, gf2_solve, positive_definite_det
 
 # bench/test_bench.py checks that tracing wraps det_bareiss here too
 from .intlinalg import det_bareiss  # noqa: F401
-from .root_system import DynkinType
+from .root_system import DynkinType, neighbour_sets
 
 SymMatrix = tuple[tuple[int, ...], ...]
 
@@ -116,11 +116,7 @@ def mutate_sequence(B: ExchangeMatrix, ks) -> ExchangeMatrix:
 
 
 def _adjacency(B: ExchangeMatrix) -> list[set[int]]:
-    adj = [set() for _ in range(B.n)]
-    for x, y in B.underlying_edges():
-        adj[x].add(y)
-        adj[y].add(x)
-    return adj
+    return neighbour_sets(B.n, B.underlying_edges())
 
 
 def is_connected(B: ExchangeMatrix) -> bool:
@@ -357,11 +353,7 @@ def dynkin_type_of(B: ExchangeMatrix) -> DynkinType:
 
 
 def dumps_exchange_matrix(B: ExchangeMatrix) -> str:
-    return json.dumps(
-        {"n": B.n, "b": [list(row) for row in B.entries]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return dump_json({"n": B.n, "b": [list(row) for row in B.entries]})
 
 
 def _is_int(value) -> bool:
@@ -390,9 +382,18 @@ def load_json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
+def dump_json(value) -> str:
+    """Canonical JSON text: sorted keys and no whitespace, so byte-stable."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def loads_exchange_matrix(text: str) -> ExchangeMatrix:
     """Read {"n": int, "b": [[int]]} or {"n": int, "arrows": [[s,t]]}."""
-    data = load_json(text)
+    return exchange_matrix_from_data(load_json(text))
+
+
+def exchange_matrix_from_data(data) -> ExchangeMatrix:
+    """The exchange matrix of a parsed JSON value; see loads_exchange_matrix."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("expected an object with an 'n' field")
     n = data["n"]

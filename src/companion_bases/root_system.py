@@ -10,7 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import det_bareiss, inverse_unimodular, mat_vec, solve_int
+from .intlinalg import inverse_unimodular
+
+# bench/test_bench.py checks that tracing wraps det_bareiss here too
+from .intlinalg import det_bareiss  # noqa: F401
 
 Root = tuple[int, ...]
 WeylWord = tuple[Root, ...]
@@ -62,6 +65,10 @@ class DynkinType:
         chain = [(0, 2)] + [(i, i + 1) for i in range(2, n - 1)]
         return tuple(chain + [(1, 3)])
 
+    def adjacency(self) -> list[set[int]]:
+        """Neighbour sets of the Dynkin diagram, indexed by vertex."""
+        return neighbour_sets(self.rank, self.edges())
+
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         n = self.rank
         cart = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -105,10 +112,7 @@ class RootSystem:
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        neighbours = [[] for _ in range(n)]
-        for i, j in self._edges:
-            neighbours[i].append(j)
-            neighbours[j].append(i)
+        neighbours = dynkin.adjacency()
         roots: list[Root] = []
         parents: list[tuple[int, int]] = []
         layer = {e: (-1, i) for i, e in enumerate(self.simple_roots)}
@@ -248,42 +252,52 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     return RootSystem(dynkin)
 
 
+def neighbour_sets(n: int, edges) -> list[set[int]]:
+    """Neighbour sets of the graph on vertices 0..n-1 with the given edges."""
+    adjacency = [set() for _ in range(n)]
+    for i, j in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    return adjacency
+
+
+def graph_isomorphisms(source, target):
+    """Every bijection v -> image[v] that maps source's edges onto target's.
+
+    Both graphs are lists of neighbour sets on vertices 0..n-1.  The
+    bijections are generated as tuples in lexicographic order: vertex 0 first,
+    each vertex trying the unused targets of its degree in index order.
+    """
+    n = len(source)
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(pos: int):
+        if pos == n:
+            yield tuple(image)
+            return
+        for cand in range(n):
+            if used[cand] or len(target[cand]) != len(source[pos]):
+                continue
+            if all(
+                (prev in source[pos]) == (image[prev] in target[cand])
+                for prev in range(pos)
+            ):
+                image[pos] = cand
+                used[cand] = True
+                yield from extend(pos + 1)
+                used[cand] = False
+
+    return extend(0)
+
+
 def diagram_automorphisms(dynkin: DynkinType) -> list[tuple[int, ...]]:
     """All permutations of the simple-root indices preserving the Cartan matrix.
 
     Returned sorted, so the identity comes first.
     """
-    n = dynkin.rank
-    adjacency = [set() for _ in range(n)]
-    for i, j in dynkin.edges():
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    degrees = [len(s) for s in adjacency]
-    found: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(pos: int) -> None:
-        if pos == n:
-            found.append(tuple(image))
-            return
-        for cand in range(n):
-            if used[cand] or degrees[cand] != degrees[pos]:
-                continue
-            ok = True
-            for prev in range(pos):
-                if (prev in adjacency[pos]) != (image[prev] in adjacency[cand]):
-                    ok = False
-                    break
-            if ok:
-                image[pos] = cand
-                used[cand] = True
-                extend(pos + 1)
-                used[cand] = False
-        image[pos] = -1
-
-    extend(0)
-    return sorted(found)
+    adjacency = dynkin.adjacency()
+    return sorted(graph_isomorphisms(adjacency, adjacency))
 
 
 def apply_automorphism(perm, v) -> Root:
@@ -302,33 +316,7 @@ def basis_columns(basis) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(basis[x][i] for x in range(n)) for i in range(n))
 
 
-def is_z_basis(rs: RootSystem, basis) -> bool:
-    """Whether n vectors form a Z-basis of the root lattice (determinant +-1)."""
-    if len(basis) != rs.rank:
-        raise ValueError(f"expected {rs.rank} basis vectors, got {len(basis)}")
-    return det_bareiss(basis_columns(basis)) in (1, -1)
-
-
-def expand_in_lattice_basis(rs: RootSystem, v, basis) -> tuple[int, ...]:
-    """Integer coefficients of v over the given basis.
-
-    Unique whenever the basis is a Z-basis; raises ValueError when the basis is
-    singular or no integer solution exists.
-    """
-    if len(basis) != rs.rank:
-        raise ValueError(f"expected {rs.rank} basis vectors, got {len(basis)}")
-    return solve_int(basis_columns(basis), tuple(v))
-
-
-def height_in_basis(rs: RootSystem, v, basis) -> int:
-    """Sum of absolute coefficients of v over the basis; >= 1 for roots."""
-    return sum(abs(c) for c in expand_in_lattice_basis(rs, v, basis))
-
-
 def lattice_inverse(basis) -> tuple[tuple[int, ...], ...]:
     """Integer matrix sending simple coordinates to basis coefficients."""
     return inverse_unimodular(basis_columns(basis))
 
-
-def expand_with_inverse(inverse, v) -> tuple[int, ...]:
-    return mat_vec(inverse, v)

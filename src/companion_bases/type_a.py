@@ -8,14 +8,22 @@ quiver vertices are 0-based positions in the sorted diagonal list.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .companion import CompanionBasis, DVector, companion_basis_failure, d_vector_set
-from .quiver import ExchangeMatrix, chordless_cycles, is_cyclically_oriented
+from .quiver import (
+    ExchangeMatrix,
+    _adjacency,
+    _is_int,
+    chordless_cycles,
+    dump_json,
+    int_rows,
+    is_cyclically_oriented,
+    load_json,
+)
 from .root_system import Root
 
 Diagonal = tuple[int, int]
@@ -234,9 +242,7 @@ def enumerate_strings(B: ExchangeMatrix) -> list[StringWalk]:
     """
     relations_of(B)  # validates the cycle structure
     n = B.n
-    adjacency = [
-        [y for y in range(n) if y != x and B.entries[x][y] != 0] for x in range(n)
-    ]
+    adjacency = _adjacency(B)
     found: dict[frozenset[int], tuple[int, ...]] = {}
 
     def grow(path: list[int]) -> None:
@@ -317,17 +323,20 @@ def almost_positive_root_of_diagonal(n: int, d) -> Root:
 
 
 def dumps_triangulation(T: Triangulation) -> str:
-    return json.dumps(
-        {"n": T.n, "diagonals": [list(d) for d in T.diagonals]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return dump_json({"n": T.n, "diagonals": [list(d) for d in T.diagonals]})
 
 
 def loads_triangulation(text: str) -> Triangulation:
-    data = json.loads(text)
+    """Read {"n": int, "diagonals": [[int, int]]}, with n diagonals.
+
+    Raises ValueError on anything else: entries that are not plain integers
+    (floats, strings and booleans are never coerced), nesting too deep to
+    parse, and diagonals that do not triangulate the (n+3)-gon.
+    """
+    data = load_json(text)
     if not isinstance(data, dict) or "n" not in data or "diagonals" not in data:
         raise ValueError("expected an object with n and diagonals fields")
-    return Triangulation(
-        int(data["n"]), tuple(tuple(int(c) for c in d) for d in data["diagonals"])
-    )
+    n = data["n"]
+    if not _is_int(n):
+        raise ValueError("'n' must be an integer")
+    return Triangulation(n, int_rows(data["diagonals"], n, 2, "diagonals"))

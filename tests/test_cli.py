@@ -369,3 +369,75 @@ def test_verify_type_a_exhaustive_at_n_7(tmp_path):
     assert run(["verify-type-a", "--n", 7, "--mode", "exhaustive", "--output", out]) == 0
     summary = json.loads(out.read_text().splitlines()[-1])
     assert summary["total"] == summary["strong"] == 1430
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mutate", "--type", "A3", "--k", 0],
+        ["recognize", "--type", "A3"],
+        ["companion", "--type", "A3"],
+        ["dvectors", "--input", "BASIS"],
+        ["verify-type-a", "--n", 2],
+    ],
+)
+def test_unwritable_output_is_exit_2(tmp_path, capsys, argv):
+    basis = tmp_path / "basis.json"
+    basis.write_text(PENDANT_BASIS_JSON)
+    argv = [str(basis) if a == "BASIS" else a for a in argv]
+    missing = tmp_path / "no" / "such" / "dir" / "out.json"
+    assert run([*argv, "--output", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno 2]")
+
+
+def test_unreadable_input_is_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for argv in (["recognize"], ["companion"], ["dvectors"], ["mutate", "--k", 0]):
+        assert run([*argv, "--input", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
+
+def assert_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("command", ["mutate", "recognize", "companion"])
+def test_type_and_input_together_are_rejected(pendant_file, capsys, command):
+    extra = ["--k", 0] if command == "mutate" else []
+    argv = [command, "--type", "E8", "--input", pendant_file, *extra]
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("sequence", ["", "0", "1,2"])
+def test_k_and_sequence_together_are_rejected(pendant_file, capsys, sequence):
+    argv = ["mutate", "--input", pendant_file, "--k", 0, "--sequence", sequence]
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("sequence", ["1_0", "١", "+1", "0,１", "1,0x1"])
+def test_sequence_takes_ascii_decimal_vertices_only(pendant_file, capsys, sequence):
+    assert run(["mutate", "--input", pendant_file, "--sequence", sequence]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad sequence: ")
+
+
+def test_sequence_keeps_padding_empty_parts_and_negative_vertices(pendant_file, capsys):
+    assert run(["mutate", "--input", pendant_file, "--sequence", " 1 ,,2,"]) == 0
+    padded = capsys.readouterr().out
+    assert run(["mutate", "--input", pendant_file, "--sequence", "1,2"]) == 0
+    assert capsys.readouterr().out == padded
+    assert run(["mutate", "--input", pendant_file, "--sequence", "-1"]) == 3
+    assert capsys.readouterr().err == "error: vertex -1 out of range for n=4\n"

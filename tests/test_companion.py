@@ -487,6 +487,22 @@ def test_serialization_roundtrip(pendant_basis, pendant_quiver):
         loads_companion_basis("{}")
 
 
+def test_loads_companion_basis_parses_its_text_once(
+    pendant_basis, pendant_quiver, monkeypatch
+):
+    calls = []
+    original = json.loads
+
+    def counting(text, **kwargs):
+        calls.append(text)
+        return original(text, **kwargs)
+
+    text = dumps_companion_basis(pendant_basis, pendant_quiver)
+    monkeypatch.setattr(json, "loads", counting)
+    assert loads_companion_basis(text) == (pendant_basis, pendant_quiver)
+    assert calls == [text]
+
+
 def failure_by_inner(psi, B):
     """companion_basis_failure computed from coordinates alone, without handles."""
     n = B.n

@@ -10,7 +10,6 @@ from companion_bases.intlinalg import (
     inverse_unimodular,
     mat_vec,
     solve_fractions,
-    solve_int,
 )
 
 
@@ -54,14 +53,6 @@ def test_det_edge_cases():
     assert det_bareiss([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
         det_bareiss([[1, 2]])
-
-
-def test_solve_int():
-    assert solve_int([[1, 1], [0, 1]], [3, 2]) == (1, 2)
-    with pytest.raises(ValueError, match="singular"):
-        solve_int([[1, 1], [1, 1]], [1, 0])
-    with pytest.raises(ValueError, match="no integer solution"):
-        solve_int([[2, 0], [0, 2]], [1, 0])
 
 
 def test_inverse_unimodular():

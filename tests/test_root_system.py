@@ -12,10 +12,9 @@ from companion_bases.root_system import (
     apply_automorphism,
     build_root_system,
     diagram_automorphisms,
-    expand_in_lattice_basis,
-    height_in_basis,
-    is_z_basis,
+    lattice_inverse,
 )
+from companion_bases.companion import CompanionBasis
 
 A2 = build_root_system(DynkinType("A", 2))
 A3 = build_root_system(DynkinType("A", 3))
@@ -236,38 +235,44 @@ def test_automorphisms_preserve_form_and_roots(label):
 
 
 PENDANT_GAMMA = ((-1, 0, 0, 0), (0, -1, -1, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+PENDANT = CompanionBasis(A4, PENDANT_GAMMA)
+SIMPLE_A4 = CompanionBasis(A4, A4.simple_roots)
 
 
 def test_expand_examples():
-    assert expand_in_lattice_basis(A4, (1, 1, 0, 0), PENDANT_GAMMA) == (-1, -1, -1, 0)
-    assert expand_in_lattice_basis(A4, (0, 1, 1, 1), PENDANT_GAMMA) == (0, -1, 0, 1)
+    assert PENDANT.expand((1, 1, 0, 0)) == (-1, -1, -1, 0)
+    assert PENDANT.expand((0, 1, 1, 1)) == (0, -1, 0, 1)
     for i, alpha in enumerate(A4.simple_roots):
         expected = tuple(1 if j == i else 0 for j in range(4))
-        assert expand_in_lattice_basis(A4, alpha, A4.simple_roots) == expected
+        assert SIMPLE_A4.expand(alpha) == expected
 
 
 def test_expand_errors():
-    with pytest.raises(ValueError, match="singular"):
-        expand_in_lattice_basis(A2, (1, 0), ((1, 0), (-1, 0)))
-    with pytest.raises(ValueError, match="no integer solution"):
-        expand_in_lattice_basis(A2, (1, 0), ((1, 1), (1, -1)))
+    with pytest.raises(ValueError, match=r"not unimodular \(determinant 0\)"):
+        CompanionBasis(A2, ((1, 0), (-1, 0))).expand((1, 0))
+    # (1, -1) is not a root, so this basis only exists as a lattice matrix
+    with pytest.raises(ValueError, match=r"not unimodular \(determinant -2\)"):
+        lattice_inverse(((1, 1), (1, -1)))
     with pytest.raises(ValueError, match="expected 2"):
-        expand_in_lattice_basis(A2, (1, 0), ((1, 0),))
+        CompanionBasis(A2, ((1, 0),))
 
 
 def test_is_z_basis():
-    assert is_z_basis(A4, A4.simple_roots)
-    assert is_z_basis(A2, ((1, 0), (1, 1)))
-    assert not is_z_basis(A2, ((1, 0), (-1, 0)))
-    assert is_z_basis(A4, PENDANT_GAMMA)
+    assert SIMPLE_A4.is_z_basis()
+    assert CompanionBasis(A2, ((1, 0), (1, 1))).is_z_basis()
+    assert not CompanionBasis(A2, ((1, 0), (-1, 0))).is_z_basis()
+    assert PENDANT.is_z_basis()
 
 
 def test_height_examples():
-    assert height_in_basis(A2, (1, 0), A2.simple_roots) == 1
-    assert height_in_basis(A4, (1, 1, 1, 1), PENDANT_GAMMA) == 3
+    def height(psi, v):
+        return sum(abs(c) for c in psi.expand(v))
+
+    assert height(CompanionBasis(A2, A2.simple_roots), (1, 0)) == 1
+    assert height(PENDANT, (1, 1, 1, 1)) == 3
     for v in A4.positive_roots:
-        assert height_in_basis(A4, v, PENDANT_GAMMA) >= 1
-        assert height_in_basis(A4, v, A4.simple_roots) == sum(v)
+        assert height(PENDANT, v) >= 1
+        assert height(SIMPLE_A4, v) == sum(v)
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4))
@@ -275,7 +280,7 @@ def test_expand_inverts_linear_combination(coeffs):
     combo = tuple(
         sum(c * g[i] for c, g in zip(coeffs, PENDANT_GAMMA)) for i in range(4)
     )
-    assert expand_in_lattice_basis(A4, combo, PENDANT_GAMMA) == tuple(coeffs)
+    assert PENDANT.expand(combo) == tuple(coeffs)
 
 
 def signed(rs, h):

@@ -245,3 +245,27 @@ def test_serialization():
     assert loads_triangulation(text) == T
     with pytest.raises(ValueError):
         loads_triangulation('{"n": 2}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 1.9, "diagonals": [["1", 3.9]]}',
+        '{"n": true, "diagonals": [[true, 3]]}',
+        '{"n": 1, "diagonals": [[1.0, 3]]}',
+        '{"n": 1, "diagonals": [[1, 3, 5]]}',
+        '{"n": 1, "diagonals": [1, 3]}',
+        '{"n": 1, "diagonals": [[1, 3], [2, 4]]}',
+        '{"n": "1", "diagonals": [[1, 3]]}',
+        "[" * 100_000,
+        '{"n": 1, "diagonals": ' + "[" * 100_000 + "}",
+    ],
+)
+def test_loads_triangulation_is_strict(text):
+    with pytest.raises(ValueError):
+        loads_triangulation(text)
+
+
+def test_loads_triangulation_reads_plain_integers():
+    T = loads_triangulation('{"n": 1, "diagonals": [[1, 3]]}')
+    assert T == Triangulation(1, ((1, 3),))
