@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import random
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,7 +33,7 @@ from .quiver import (
     mutate_sequence,
     recognize,
 )
-from .root_system import DynkinType
+from .root_system import DynkinType, parse_int
 from .type_a import (
     Triangulation,
     enumerate_triangulations,
@@ -80,27 +79,32 @@ def _load_matrix(args) -> ExchangeMatrix:
         raise CommandError(str(exc), EXIT_PARSE) from None
 
 
-def _vertex_sequence(text: str) -> list[int]:
-    """Comma-separated vertices; empty parts are skipped, others must be -?[0-9]+."""
-    parts = [part for part in text.split(",") if part.strip() != ""]
+def _integer(text: str, message: str) -> int:
+    """text as an ASCII -?[0-9]+ integer, spaces around it allowed; else exit 2."""
     try:
-        ks = [int(part) for part in parts]
-    except ValueError as exc:
-        raise CommandError(f"bad sequence: {exc}", EXIT_PARSE) from None
-    # int() also takes underscores, plus signs and non-ASCII digits
-    if not all(re.fullmatch(r"\s*-?[0-9]+\s*", part) for part in parts):
-        raise CommandError("bad sequence: vertices must be ASCII integers", EXIT_PARSE)
-    return ks
+        return parse_int(text.strip())
+    except ValueError:
+        raise CommandError(message, EXIT_PARSE) from None
+
+
+def _positive(text: str | None, flag: str) -> int:
+    message = f"{flag} must be a positive integer"
+    value = 0 if text is None else _integer(text, message)
+    if value < 1:
+        raise CommandError(message, EXIT_PARSE)
+    return value
 
 
 def cmd_mutate(args) -> int:
-    B = _load_matrix(args)
     if args.sequence is not None:
-        ks = _vertex_sequence(args.sequence)
+        parts = [part for part in args.sequence.split(",") if part.strip() != ""]
+        message = "bad sequence: vertices must be ASCII integers"
+        ks = [_integer(part, message) for part in parts]
     elif args.k is not None:
-        ks = [args.k]
+        ks = [_integer(args.k, "--k must be an ASCII integer")]
     else:
         raise CommandError("--k or --sequence is required", EXIT_PARSE)
+    B = _load_matrix(args)
     try:
         B = mutate_sequence(B, ks)
     except IndexError as exc:
@@ -160,23 +164,19 @@ def _verify_one(T: Triangulation) -> dict:
 
 
 def cmd_verify_type_a(args) -> int:
-    n = args.n
-    if n is None or n < 1:
-        raise CommandError("--n must be a positive integer", EXIT_PARSE)
-    if args.walk_length is not None and args.walk_length < 1:
-        raise CommandError("--walk-length must be a positive integer", EXIT_PARSE)
-    if args.jobs < 1:
-        raise CommandError("--jobs must be a positive integer", EXIT_PARSE)
+    n = _positive(args.n, "--n")
+    count = 50 if args.walk_length is None else _positive(args.walk_length, "--walk-length")
+    jobs = _positive(args.jobs, "--jobs")
+    seed = _integer(args.seed, "--seed must be an ASCII integer")
     if args.mode == "exhaustive":
         if n > 8:
             raise CommandError("exhaustive mode is capped at n=8", EXIT_PARSE)
         triangulations = enumerate_triangulations(n)
     else:
-        rng = random.Random(args.seed)
-        count = args.walk_length if args.walk_length is not None else 50
+        rng = random.Random(seed)
         triangulations = [random_triangulation(n, rng) for _ in range(count)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_verify_one, triangulations))
     else:
         records = [_verify_one(T) for T in triangulations]
@@ -185,7 +185,7 @@ def cmd_verify_type_a(args) -> int:
     summary = {
         "mode": args.mode,
         "n": n,
-        "seed": args.seed,
+        "seed": seed,
         "total": len(records),
         "strong": sum(1 for r in records if r["strong"]),
     }
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate", help="mutate an exchange matrix")
     io_args(p, with_type=True)
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--k", type=int, default=None, help="vertex to mutate (0-based)")
+    g.add_argument("--k", default=None, help="vertex to mutate (0-based)")
     g.add_argument("--sequence", default=None, help="comma-separated vertices")
     p.set_defaults(func=cmd_mutate)
 
@@ -238,17 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-type-a", help="check d-vectors against string modules in type A"
     )
     io_args(p)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", default=None)
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument(
         "--walk-length",
-        type=int,
         default=None,
         dest="walk_length",
         help="number of sampled triangulations in sample mode",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", default="1")
     p.set_defaults(func=cmd_verify_type_a)
 
     return parser
@@ -256,6 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse before Python 3.12 reads the option value "--" (as in --k=--) as []
+    for name, value in list(vars(args).items()):
+        if value == []:
+            setattr(args, name, "--")
     try:
         return args.func(args)
     except CommandError as exc:

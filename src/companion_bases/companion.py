@@ -15,7 +15,7 @@ from collections import deque
 from .intlinalg import det_bareiss, mat_vec
 from .quiver import (
     ExchangeMatrix,
-    _adjacency,
+    breadth_first,
     dump_json,
     dynkin_type_and_companion,
     dynkin_type_of,
@@ -137,31 +137,6 @@ def is_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
     return companion_basis_failure(psi, B) is None
 
 
-def _tree_family(n: int, adjacency) -> DynkinType:
-    max_degree = max(len(a) for a in adjacency)
-    branch_vertices = [v for v in range(n) if len(adjacency[v]) >= 3]
-    if max_degree <= 2:
-        return DynkinType("A", n)
-    if max_degree == 3 and len(branch_vertices) == 1:
-        hub = branch_vertices[0]
-        lengths = []
-        for start in adjacency[hub]:
-            length, prev, cur = 1, hub, start
-            while True:
-                nxt = [w for w in adjacency[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            lengths.append(length)
-        lengths.sort()
-        if lengths[:2] == [1, 1]:
-            return DynkinType("D", n)
-        if lengths == [1, 2, n - 4] and n in (6, 7, 8):
-            return DynkinType("E", n)
-    raise ValueError("underlying tree is not a Dynkin diagram")
-
-
 def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
     """Simple roots placed on a quiver that orients a Dynkin diagram.
 
@@ -173,9 +148,11 @@ def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
         raise ValueError("entries outside {0,+-1}")
     if len(B.underlying_edges()) != n - 1 or not is_connected(B):
         raise ValueError("underlying graph is not a tree")
-    adjacency = _adjacency(B)
-    dynkin = _tree_family(n, adjacency)
-    image = next(graph_isomorphisms(adjacency, dynkin.adjacency()), None)
+    try:
+        dynkin = dynkin_type_of(B)
+    except ValueError:
+        raise ValueError("underlying tree is not a Dynkin diagram") from None
+    image = next(graph_isomorphisms(B.neighbours, dynkin.adjacency()), None)
     if image is None:
         raise ValueError("quiver is not an orientation of the Dynkin diagram")
     rs = build_root_system(dynkin)
@@ -397,15 +374,7 @@ def _gram_realization(rs: RootSystem, A) -> tuple[Root, ...] | None:
     differs.
     """
     n = rs.rank
-    order = [0]
-    parent = [0] * n
-    seen = {0}
-    for v in order:
-        for u in range(n):
-            if A[v][u] and u not in seen:
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
+    order, parent = breadth_first([[u for u in range(n) if A[v][u]] for v in range(n)], 0)
     with_form_value = rs.with_form_value
     form_row = rs.form_row
     # vertex u holds signs[u] * alpha_p for p = ps[u]; rows[u] is alpha_p's form row

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intlinalg import InconsistentSystemError, gf2_solve, positive_definite_det
 
@@ -75,6 +76,11 @@ class ExchangeMatrix:
     def has_unit_entries(self) -> bool:
         return all(v in (-1, 0, 1) for row in self.entries for v in row)
 
+    @cached_property
+    def neighbours(self) -> tuple[frozenset[int], ...]:
+        """Neighbour sets of the underlying graph, built on first use only."""
+        return neighbour_sets(self.n, self.underlying_edges())
+
 
 def mutate_entries(rows, k: int):
     """Rows of the mutation at k of a skew-symmetric matrix, as tuples.
@@ -115,49 +121,64 @@ def mutate_sequence(B: ExchangeMatrix, ks) -> ExchangeMatrix:
     return B
 
 
-def _adjacency(B: ExchangeMatrix) -> list[set[int]]:
-    return neighbour_sets(B.n, B.underlying_edges())
+def breadth_first(neighbours, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from root, neighbours in index order, and the parents."""
+    parent = [-1] * len(neighbours)
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for u in sorted(neighbours[v]):
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 def is_connected(B: ExchangeMatrix) -> bool:
-    if B.n == 0:
-        return True
-    adj = _adjacency(B)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == B.n
+    return B.n == 0 or len(breadth_first(B.neighbours, 0)[0]) == B.n
+
+
+def induced_paths(neighbours, start: int, floor: int):
+    """Every induced path from start through vertices above floor, as tuples.
+
+    Two vertices of an induced path are adjacent exactly when consecutive.
+    Depth first on an explicit stack, so no recursion limit bounds a path.
+    """
+    path = [start]
+    on_path = {start}
+    branches = [iter(neighbours[start])]
+    yield (start,)
+    while branches:
+        last = path[-1]
+        for nxt in branches[-1]:
+            # the new vertex may touch the path only at its tail
+            if nxt > floor and nxt not in on_path and neighbours[nxt] & on_path == {last}:
+                path.append(nxt)
+                on_path.add(nxt)
+                branches.append(iter(neighbours[nxt]))
+                yield tuple(path)
+                break
+        else:
+            branches.pop()
+            on_path.remove(path.pop())
 
 
 def chordless_cycles(B: ExchangeMatrix) -> list[tuple[int, ...]]:
     """Induced cycles of the underlying graph, each in canonical rotation.
 
     Canonical rotation: smallest vertex first, then its smaller neighbour.
+    Each is an induced path from its smallest vertex v closed by a vertex w
+    adjacent to v and the path's end only (w > path[1] keeps one direction).
     """
-    adj = _adjacency(B)
-    n = B.n
-    cycles: list[tuple[int, ...]] = []
-
-    def grow(path: list[int], members: set[int]) -> None:
-        first, last = path[0], path[-1]
-        for nxt in sorted(adj[last]):
-            if nxt < first or nxt in members:
-                continue
-            # chordless: the candidate may touch the path only at the tail,
-            # except when it closes the cycle back at the head
-            touches = adj[nxt] & members
-            if touches == {last}:
-                grow(path + [nxt], members | {nxt})
-            elif touches == {last, first} and len(path) >= 2:
-                if path[1] < nxt:  # each cycle found once, not once per direction
-                    cycles.append(tuple(path + [nxt]))
-
-    for v in range(n):
-        grow([v], {v})
+    adj = B.neighbours
+    cycles = [
+        path + (w,)
+        for v in range(B.n)
+        for path in induced_paths(adj, v, v)
+        if len(path) > 1
+        for w in adj[v] & adj[path[-1]]
+        if w > path[1] and adj[w].isdisjoint(path[1:-1])
+    ]
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
@@ -315,13 +336,13 @@ def dynkin_type_and_companion(B: ExchangeMatrix) -> tuple[DynkinType, SymMatrix]
     The type is read off the pair (rank, |det A|) of the positive companion A,
     which is invariant under both sign changes and mutation: A_n gives n+1,
     D_n gives 4, and E6/E7/E8 give 3/2/1.  Raises ValueError on input that is
-    not of finite type or not connected.
+    not connected (checked first) or not of finite type.
     """
+    if not is_connected(B):
+        raise ValueError("matrix is not connected")
     A, det, failure = _companion_or_failure(B)
     if failure is not None:
         raise ValueError(f"not finite type: {failure}")
-    if not is_connected(B):
-        raise ValueError("matrix is not connected")
     return _type_of_companion(B.n, det), A
 
 

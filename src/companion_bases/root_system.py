@@ -7,6 +7,7 @@ the Cartan matrix, normalised so every root has squared length 2.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +22,17 @@ WeylWord = tuple[Root, ...]
 POSITIVE_ROOT = "positive_root"
 NEGATIVE_ROOT = "negative_root"
 NOT_ROOT = "not_root"
+
+
+def parse_int(text: str) -> int:
+    """An integer written as ASCII -?[0-9]+, with nothing around it.
+
+    int() would also take spaces, underscores, a plus sign and non-ASCII
+    digits; those raise ValueError here.
+    """
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -44,11 +56,13 @@ class DynkinType:
 
     @classmethod
     def parse(cls, text: str) -> DynkinType:
-        """Parse a label like "A4", "D5" or "E6"."""
+        """Parse a label like "A4", "D5" or "E6"; the rank is read by parse_int."""
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
-            raise ValueError(f"cannot parse Dynkin type {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        try:
+            rank = parse_int(text[1:])
+        except ValueError:
+            raise ValueError(f"cannot parse Dynkin type {text!r}") from None
+        return cls(text[0].upper(), rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -65,7 +79,7 @@ class DynkinType:
         chain = [(0, 2)] + [(i, i + 1) for i in range(2, n - 1)]
         return tuple(chain + [(1, 3)])
 
-    def adjacency(self) -> list[set[int]]:
+    def adjacency(self) -> tuple[frozenset[int], ...]:
         """Neighbour sets of the Dynkin diagram, indexed by vertex."""
         return neighbour_sets(self.rank, self.edges())
 
@@ -252,13 +266,13 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     return RootSystem(dynkin)
 
 
-def neighbour_sets(n: int, edges) -> list[set[int]]:
+def neighbour_sets(n: int, edges) -> tuple[frozenset[int], ...]:
     """Neighbour sets of the graph on vertices 0..n-1 with the given edges."""
     adjacency = [set() for _ in range(n)]
     for i, j in edges:
         adjacency[i].add(j)
         adjacency[j].add(i)
-    return adjacency
+    return tuple(map(frozenset, adjacency))
 
 
 def graph_isomorphisms(source, target):

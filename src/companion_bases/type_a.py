@@ -16,10 +16,10 @@ from math import comb
 from .companion import CompanionBasis, DVector, companion_basis_failure, d_vector_set
 from .quiver import (
     ExchangeMatrix,
-    _adjacency,
     _is_int,
     chordless_cycles,
     dump_json,
+    induced_paths,
     int_rows,
     is_cyclically_oriented,
     load_json,
@@ -242,28 +242,13 @@ def enumerate_strings(B: ExchangeMatrix) -> list[StringWalk]:
     """
     relations_of(B)  # validates the cycle structure
     n = B.n
-    adjacency = _adjacency(B)
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-
-    def grow(path: list[int]) -> None:
-        key = frozenset(path)
-        if key not in found:
-            found[key] = tuple(path)
-        last = path[-1]
-        for nxt in adjacency[last]:
-            if nxt in path:
-                continue
-            if any(B.entries[v][nxt] != 0 for v in path[:-1]):
-                continue
-            grow(path + [nxt])
-
-    for v in range(n):
-        grow([v])
-    walks = []
-    for vertices in found.values():
-        if len(vertices) > 1 and vertices[0] > vertices[-1]:
-            vertices = tuple(reversed(vertices))
-        walks.append(_walk_from_vertices(B, vertices))
+    # a string's induced path is walked from both ends; keep one direction
+    walks = [
+        _walk_from_vertices(B, path)
+        for v in range(n)
+        for path in induced_paths(B.neighbours, v, -1)
+        if path[0] <= path[-1]
+    ]
     walks.sort(key=lambda w: (len(w.vertices), w.vertices))
     expected = n * (n + 1) // 2
     if len(walks) != expected:

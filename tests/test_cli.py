@@ -441,3 +441,84 @@ def test_sequence_keeps_padding_empty_parts_and_negative_vertices(pendant_file, 
     assert capsys.readouterr().out == padded
     assert run(["mutate", "--input", pendant_file, "--sequence", "-1"]) == 3
     assert capsys.readouterr().err == "error: vertex -1 out of range for n=4\n"
+
+
+def assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("k", ["١", "1_0", "+1", "x", "", "1.0", "²"])
+def test_k_takes_ascii_integers_only(capsys, k):
+    assert run(["mutate", "--type", "A3", f"--k={k}"]) == 2
+    assert_one_error_line(capsys, "--k must be an ASCII integer")
+
+
+def test_k_keeps_padding_and_negative_vertices(capsys):
+    assert run(["mutate", "--type", "A3", "--k", " 1 "]) == 0
+    padded = capsys.readouterr().out
+    assert run(["mutate", "--type", "A3", "--k", "1"]) == 0
+    assert capsys.readouterr().out == padded
+    assert run(["mutate", "--type", "A3", "--k", "-1"]) == 3
+    assert_one_error_line(capsys, "vertex -1 out of range for n=3")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n", "٣", "--n must be a positive integer"),
+        ("--n", "3_0", "--n must be a positive integer"),
+        ("--n", "x", "--n must be a positive integer"),
+        ("--walk-length", "١", "--walk-length must be a positive integer"),
+        ("--jobs", "+1", "--jobs must be a positive integer"),
+        ("--seed", "٣", "--seed must be an ASCII integer"),
+        ("--seed", "1_0", "--seed must be an ASCII integer"),
+    ],
+)
+def test_verify_type_a_flags_take_ascii_integers_only(capsys, flag, value, message):
+    argv = ["verify-type-a", "--n", "2", "--mode", "sample", f"{flag}={value}"]
+    assert run(argv) == 2
+    assert_one_error_line(capsys, message)
+
+
+def test_verify_type_a_reads_padded_and_negative_seeds(capsys):
+    assert run(["verify-type-a", "--n", " 2 ", "--mode", "sample", "--seed", "-3"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (summary["n"], summary["seed"], summary["total"]) == (2, -3, 50)
+
+
+@pytest.mark.parametrize("label", ["A١", "A²", "A 3", "A+3", "A3_0", "Ａ3"])
+def test_type_labels_take_ascii_ranks_only(capsys, label):
+    assert run(["recognize", f"--type={label}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "invalid literal" not in lines[0]
+
+
+def test_companion_reports_disconnection_before_finite_type(tmp_path, capsys):
+    # two vertices joined by a double arrow, and a third on its own
+    src = tmp_path / "disconnected.json"
+    src.write_text('{"n": 3, "b": [[0, 2, 0], [-2, 0, 0], [0, 0, 0]]}')
+    assert run(["companion", "--input", src]) == 4
+    assert_one_error_line(capsys, "matrix is not connected")
+    assert run(["recognize", "--input", src]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"finite_type": False, "failing_condition": "no positive quasi-Cartan companion"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mutate", "--type", "A3", "--k=--"], "--k must be an ASCII integer"),
+        (["mutate", "--type", "A3", "--sequence=--"], "bad sequence: vertices must be ASCII integers"),
+        (["verify-type-a", "--n", "2", "--jobs=--"], "--jobs must be a positive integer"),
+        (["recognize", "--type=--"], "cannot parse Dynkin type '--'"),
+        (["recognize", "--input=--"], "[Errno 2] No such file or directory: '--'"),
+    ],
+)
+def test_an_option_value_of_two_dashes_is_read_as_text(capsys, argv, message):
+    assert run(argv) == 2
+    assert_one_error_line(capsys, message)

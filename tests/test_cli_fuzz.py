@@ -1,9 +1,10 @@
-"""Fuzz the reading subcommands: any input ends in a documented exit code.
+"""Fuzz the subcommands' inputs: any input ends in a documented exit code.
 
 Every run must return 0, 2 (malformed input), 3 (bad vertex index), 4
 (construction failure) or 5 (verification counterexample) from cli.main, with
 no exception escaping, and a failing run prints nothing on stdout and exactly
-one `error:` line on stderr.
+one `error:` line on stderr.  The integer flags and `--type` labels are
+drawn so that no accepted run exceeds rank 30 or `verify-type-a --n 4`.
 """
 
 import contextlib
@@ -110,3 +111,42 @@ def test_companion_survives_any_input(text):
 @given(documents)
 def test_dvectors_survives_any_input(text):
     check(["dvectors"], text)
+
+
+# runs of characters int() or str.isdigit() would take but the CLI must not:
+# non-ASCII digits, signs, underscores and spaces; no ASCII digit
+junk = st.text(alphabet=" +-_\u0661\u0663\u00b2\u07c1", max_size=2)
+
+
+def integer_texts(low, high):
+    """An ASCII integer in [low, high], alone or run into junk, or junk alone."""
+    number = st.integers(low, high).map(str)
+    return number | st.tuples(junk, number, junk).map("".join) | junk
+
+
+# a rank above 30 is never accepted: the only ASCII digit in the junk ranks is 0
+type_labels = st.tuples(
+    st.sampled_from("ADEXade "),
+    integer_texts(-2, 30) | st.text(alphabet="0\u0661\u0663\u00b2", max_size=3),
+    junk,
+).map("".join)
+
+
+@FUZZ
+@given(st.sampled_from(["recognize", "companion", "mutate"]), type_labels, integer_texts(-2, 31))
+def test_type_labels_survive_any_text(command, label, k):
+    extra = [f"--k={k}"] if command == "mutate" else []
+    check([command, f"--type={label}", *extra], "")
+
+
+@FUZZ
+@given(
+    st.sampled_from(["exhaustive", "sample"]),
+    integer_texts(-1, 4),
+    integer_texts(-3, 9),
+    integer_texts(-1, 3),
+    integer_texts(-1, 1),
+)
+def test_verify_type_a_survives_any_integer_flags(mode, n, seed, walk_length, jobs):
+    argv = [f"--mode={mode}", f"--n={n}", f"--seed={seed}", f"--walk-length={walk_length}"]
+    check(["verify-type-a", *argv, f"--jobs={jobs}"], "")

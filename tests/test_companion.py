@@ -105,6 +105,62 @@ def test_initial_basis_rejects_non_trees(pendant_quiver):
         initial_companion_basis(star5)
 
 
+def random_orientation(n, edges, rng):
+    """A tree on edges, relabelled and with each arrow's direction drawn at random."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arrows = [(perm[i], perm[j]) if rng.random() < 0.5 else (perm[j], perm[i]) for i, j in edges]
+    return ExchangeMatrix.from_arrows(n, arrows)
+
+
+def star_edges(*arms):
+    """Edges of a tree with hub 0 and one path of each given length leaving it."""
+    edges, n = [], 1
+    for length in arms:
+        prev = 0
+        for v in range(n, n + length):
+            edges.append((prev, v))
+            prev = v
+        n += length
+    return n, edges
+
+
+TREE_LABELS = (
+    [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("label", TREE_LABELS)
+def test_initial_basis_types_relabelled_reoriented_trees(label):
+    dynkin = DynkinType.parse(label)
+    rng = random.Random(f"tree {label}")
+    for _ in range(4):
+        B = random_orientation(dynkin.rank, dynkin.edges(), rng)
+        psi = initial_companion_basis(B)
+        assert psi.rs.dynkin == dynkin
+        assert is_companion_basis(psi, B)
+
+
+NON_DYNKIN_TREES = {
+    "4-leaf star": star_edges(1, 1, 1, 1),
+    "affine D5": (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]),
+    "affine D6": (7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)]),
+    "affine E6": star_edges(2, 2, 2),
+    "affine E7": star_edges(1, 3, 3),
+    "affine E8": star_edges(1, 2, 5),
+}
+
+
+@pytest.mark.parametrize("name", NON_DYNKIN_TREES)
+def test_initial_basis_rejects_affine_trees(name):
+    n, edges = NON_DYNKIN_TREES[name]
+    assert len(edges) == n - 1
+    rng = random.Random(f"tree {name}")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="underlying tree is not a Dynkin diagram"):
+            initial_companion_basis(random_orientation(n, edges, rng))
+
+
 def test_is_companion_basis_examples(pendant_quiver, pendant_basis, rs_a4):
     assert is_companion_basis(pendant_basis, pendant_quiver)
     pi = CompanionBasis(rs_a4, rs_a4.simple_roots)

@@ -362,6 +362,11 @@ def test_dynkin_type_and_companion(pendant_quiver):
         dynkin_type_and_companion(ExchangeMatrix.from_arrows(3, [(0, 1)]))
     with pytest.raises(ValueError, match="not finite type"):
         dynkin_type_and_companion(ExchangeMatrix.from_rows([[0, 2], [-2, 0]]))
+    # connectivity is checked first; recognize still reports the failing condition
+    two_parts = ExchangeMatrix.from_rows([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="not connected"):
+        dynkin_type_and_companion(two_parts)
+    assert recognize(two_parts) == (NO_POSITIVE_COMPANION, None)
 
 
 def mutate_entries_dense(rows, k):
