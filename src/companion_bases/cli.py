@@ -48,6 +48,10 @@ EXIT_INDEX = 3
 EXIT_SEARCH = 4
 EXIT_VERIFY = 5
 
+# verify-type-a --jobs ceiling: a fork-started ProcessPoolExecutor starts all
+# its workers at once
+MAX_JOBS = 32
+
 
 class CommandError(Exception):
     """A command that cannot finish; args are (message, exit code), printed by main."""
@@ -167,6 +171,8 @@ def cmd_verify_type_a(args) -> int:
     n = _positive(args.n, "--n")
     count = 50 if args.walk_length is None else _positive(args.walk_length, "--walk-length")
     jobs = _positive(args.jobs, "--jobs")
+    if jobs > MAX_JOBS:
+        raise CommandError(f"--jobs must be at most {MAX_JOBS}", EXIT_PARSE)
     seed = _integer(args.seed, "--seed must be an ASCII integer")
     if args.mode == "exhaustive":
         if n > 8:
@@ -175,8 +181,9 @@ def cmd_verify_type_a(args) -> int:
     else:
         rng = random.Random(seed)
         triangulations = [random_triangulation(n, rng) for _ in range(count)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(triangulations))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_verify_one, triangulations))
     else:
         records = [_verify_one(T) for T in triangulations]

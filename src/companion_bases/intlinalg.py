@@ -166,17 +166,9 @@ def gf2_solve(equations: list[tuple[int, int]], nvars: int) -> list[int]:
         col = (mask & -mask).bit_length() - 1
         pivot_of_col[col] = len(work)
         work.append((mask, rhs, idx))
-    # back-substitute, free variables 0
-    solution = [0] * nvars
+    # back-substitute into a bitmask (bit j is variable j), free variables 0
+    solution = 0
     for mask, rhs, _ in reversed(work):
         col = (mask & -mask).bit_length() - 1
-        acc = rhs
-        probe = mask >> (col + 1)
-        j = col + 1
-        while probe:
-            if probe & 1:
-                acc ^= solution[j]
-            probe >>= 1
-            j += 1
-        solution[col] = acc
-    return solution
+        solution |= (rhs ^ ((mask & solution).bit_count() & 1)) << col
+    return [(solution >> j) & 1 for j in range(nvars)]

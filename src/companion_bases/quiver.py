@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from .intlinalg import InconsistentSystemError, gf2_solve, positive_definite_det
 
@@ -182,18 +183,19 @@ def chordless_cycles(B: ExchangeMatrix) -> list[tuple[int, ...]]:
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
+def cycle_edges(cycle) -> list[tuple]:
+    """The consecutive pairs of a cycle, the closing pair (last, first) last."""
+    return list(zip(cycle, (*cycle[1:], cycle[0])))
+
+
 def is_cyclically_oriented(B: ExchangeMatrix, cycle) -> bool:
     """Whether the arrows along a chordless cycle all run one way."""
-    m = len(cycle)
-    for u, v in zip(cycle, cycle[1:]):
+    forward = 0
+    for u, v in cycle_edges(cycle):
         if B.entries[u][v] == 0:
             raise ValueError(f"cycle edge ({u},{v}) not present")
-    if B.entries[cycle[-1]][cycle[0]] == 0:
-        raise ValueError(f"cycle edge ({cycle[-1]},{cycle[0]}) not present")
-    forward = sum(
-        1 for i in range(m) if B.entries[cycle[i]][cycle[(i + 1) % m]] > 0
-    )
-    return forward in (0, m)
+        forward += B.entries[u][v] > 0
+    return forward in (0, len(cycle))
 
 
 def cartan_counterpart(B: ExchangeMatrix) -> SymMatrix:
@@ -232,14 +234,10 @@ def satisfies_cycle_sign_condition(A, B: ExchangeMatrix) -> bool:
     """
     if not is_companion_of(A, B):
         raise ValueError("A is not a quasi-Cartan companion of B")
-    for cycle in chordless_cycles(B):
-        m = len(cycle)
-        product = 1
-        for i in range(m):
-            product *= -A[cycle[i]][cycle[(i + 1) % m]]
-        if product >= 0:
-            return False
-    return True
+    return all(
+        prod(-A[x][y] for x, y in cycle_edges(cycle)) < 0
+        for cycle in chordless_cycles(B)
+    )
 
 
 def canonical_companion(B: ExchangeMatrix) -> SymMatrix:
@@ -263,9 +261,7 @@ def _signed_companion(B: ExchangeMatrix, cycles) -> SymMatrix:
     equations = []
     for cycle in cycles:
         mask = 0
-        m = len(cycle)
-        for i in range(m):
-            x, y = cycle[i], cycle[(i + 1) % m]
+        for x, y in cycle_edges(cycle):
             mask |= 1 << edge_index[(x, y) if x < y else (y, x)]
         equations.append((mask, 1))
     try:

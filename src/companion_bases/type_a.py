@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 from math import comb
 
 from .companion import CompanionBasis, DVector, companion_basis_failure, d_vector_set
@@ -18,6 +18,7 @@ from .quiver import (
     ExchangeMatrix,
     _is_int,
     chordless_cycles,
+    cycle_edges,
     dump_json,
     induced_paths,
     int_rows,
@@ -29,6 +30,8 @@ from .root_system import Root
 Diagonal = tuple[int, int]
 
 ArrowPair = tuple[tuple[int, int], tuple[int, int]]
+
+ENUMERATION_CAP = 9  # largest n that enumerate_triangulations accepts
 
 
 def _check_diagonal(n: int, d) -> Diagonal:
@@ -66,31 +69,27 @@ class Triangulation:
 
 
 def _interval_triangulations(i: int, j: int) -> list[tuple[Diagonal, ...]]:
-    # all triangulations of the sub-polygon on corners i, i+1, ..., j
+    # all triangulations of the sub-polygon on corners i, i+1, ..., j, each
+    # ending with the split interval (i, j) itself
     if j - i < 2:
         return [()]
-    out = []
-    for apex in range(i + 1, j):
-        left = _interval_triangulations(i, apex)
-        right = _interval_triangulations(apex, j)
-        extra = []
-        if apex - i >= 2:
-            extra.append((i, apex))
-        if j - apex >= 2:
-            extra.append((apex, j))
-        for l in left:
-            for r in right:
-                out.append(l + r + tuple(extra))
-    return out
+    return [
+        left + right + ((i, j),)
+        for apex in range(i + 1, j)
+        for left, right in product(
+            _interval_triangulations(i, apex), _interval_triangulations(apex, j)
+        )
+    ]
 
 
-def enumerate_triangulations(n: int, cap: int = 9) -> list[Triangulation]:
+def enumerate_triangulations(n: int) -> list[Triangulation]:
     """All triangulations of the (n+3)-gon; there are Catalan(n+1) of them."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise ValueError(f"n={n} above the enumeration cap {cap}")
-    return [Triangulation(n, ds) for ds in _interval_triangulations(1, n + 3)]
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} above the enumeration cap {ENUMERATION_CAP}")
+    # the outer interval (1, n+3) is a boundary edge
+    return [Triangulation(n, ds[:-1]) for ds in _interval_triangulations(1, n + 3)]
 
 
 def catalan(m: int) -> int:
@@ -99,73 +98,40 @@ def catalan(m: int) -> int:
 
 def random_triangulation(n: int, rng: random.Random) -> Triangulation:
     """Uniformly random triangulation, drawn by Catalan-weighted apex choices."""
-
-    def weight(i: int, j: int) -> int:
-        return catalan(j - i - 1)
-
-    diagonals: list[Diagonal] = []
+    split: list[Diagonal] = []
     stack = [(1, n + 3)]
     while stack:
         i, j = stack.pop()
         if j - i < 2:
             continue
-        weights = [weight(i, apex) * weight(apex, j) for apex in range(i + 1, j)]
-        apex = rng.choices(range(i + 1, j), weights=weights)[0]
-        if apex - i >= 2:
-            diagonals.append((i, apex))
-        if j - apex >= 2:
-            diagonals.append((apex, j))
-        stack.append((i, apex))
-        stack.append((apex, j))
-    return Triangulation(n, tuple(diagonals))
-
-
-def _triangles(n: int, diagonals) -> list[tuple[int, int, int]]:
-    corners = n + 3
-    edges = set(diagonals)
-    for c in range(1, corners):
-        edges.add((c, c + 1))
-    edges.add((1, corners))
-    out = []
-    for a in range(1, corners + 1):
-        for b in range(a + 1, corners + 1):
-            if (a, b) not in edges:
-                continue
-            for c in range(b + 1, corners + 1):
-                if (b, c) in edges and (a, c) in edges:
-                    out.append((a, b, c))
-    return out
+        split.append((i, j))
+        apexes = range(i + 1, j)
+        weights = [catalan(a - i - 1) * catalan(j - a - 1) for a in apexes]
+        apex = rng.choices(apexes, weights=weights)[0]
+        stack += [(i, apex), (apex, j)]
+    # the outer interval (1, n+3), split first, is a boundary edge
+    return Triangulation(n, tuple(split[1:]))
 
 
 def quiver_from_triangulation(T: Triangulation) -> ExchangeMatrix:
     """Quiver on the diagonals of T, one vertex per diagonal in sorted order.
 
-    Two diagonals bounding a common triangle get an arrow, directed so that the
-    smaller anticlockwise rotation about their shared corner goes source to
-    target.
+    The diagonals at a corner p, in order of anticlockwise offset
+    (q - p) mod (n+3) of their other corner q, form a fan with the boundary
+    edges at its two ends, so each consecutive pair bounds one triangle; it
+    gets an arrow from the smaller offset to the larger.
     """
     corners = T.n + 3
-    index = {d: i for i, d in enumerate(T.diagonals)}
+    fans: list[list[tuple[int, int]]] = [[] for _ in range(corners + 1)]
+    for v, d in enumerate(T.diagonals):
+        for p, q in (d, d[::-1]):
+            fans[p].append(((q - p) % corners, v))
     rows = [[0] * T.n for _ in range(T.n)]
-    for tri in _triangles(T.n, T.diagonals):
-        sides = [
-            (u, v) for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))
-        ]
-        diag_sides = [s for s in sides if s in index]
-        for s1 in diag_sides:
-            for s2 in diag_sides:
-                if s1 >= s2:
-                    continue
-                shared = set(s1) & set(s2)
-                p = shared.pop()
-                a = s1[0] if s1[1] == p else s1[1]
-                b = s2[0] if s2[1] == p else s2[1]
-                if (a - p) % corners < (b - p) % corners:
-                    src, dst = index[s1], index[s2]
-                else:
-                    src, dst = index[s2], index[s1]
-                rows[src][dst] = 1
-                rows[dst][src] = -1
+    for fan in fans:
+        fan.sort()
+        for (_, s), (_, t) in zip(fan, fan[1:]):
+            rows[s][t] = 1
+            rows[t][s] = -1
     return ExchangeMatrix.from_rows(rows)
 
 
@@ -180,13 +146,10 @@ def relations_of(B: ExchangeMatrix) -> frozenset[ArrowPair]:
             raise ValueError(f"chordless cycle of length {len(cycle)} found")
         if not is_cyclically_oriented(B, cycle):
             raise ValueError(f"chordless 3-cycle {cycle} is not oriented")
-        x, y, z = cycle
-        if B.entries[x][y] > 0:
-            arrows = [(x, y), (y, z), (z, x)]
-        else:
-            arrows = [(x, z), (z, y), (y, x)]
-        for i in range(3):
-            pairs.add((arrows[i], arrows[(i + 1) % 3]))
+        if B.entries[cycle[0]][cycle[1]] < 0:
+            cycle = cycle[::-1]
+        # the arrows are the cycle's edges; the pairs are the arrows' edges
+        pairs.update(cycle_edges(cycle_edges(cycle)))
     return frozenset(pairs)
 
 
@@ -277,7 +240,6 @@ def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
     return d_vector_set(psi).vectors == indecomposable_dim_vectors(B)
 
 
-@lru_cache(maxsize=None)
 def _snake_diagonals(n: int) -> tuple[Diagonal, ...]:
     snake = []
     for m in range(1, n + 1):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from companion_bases import quiver
+from companion_bases import cli, quiver
 from companion_bases.cli import main
 from companion_bases.companion import loads_companion_basis, is_companion_basis
 from companion_bases.quiver import loads_exchange_matrix
@@ -279,6 +279,49 @@ def test_verify_type_a_parallel(tmp_path):
     assert run(["verify-type-a", "--n", 3, "--output", serial]) == 0
     assert run(["verify-type-a", "--n", 3, "--jobs", 2, "--output", parallel]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swaps the CLI's ProcessPoolExecutor for a serial stand-in that forks
+    nothing; returns the max_workers of each pool it was asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", [cli.MAX_JOBS + 1, 100_000])
+def test_verify_type_a_rejects_jobs_above_the_cap(capsys, serial_pool, jobs):
+    assert run(["verify-type-a", "--n", 2, "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be at most {cli.MAX_JOBS}\n"
+    assert serial_pool == []
+
+
+@pytest.mark.parametrize("jobs,workers", [(3, [3]), (cli.MAX_JOBS, [5]), (1, [])])
+def test_verify_type_a_starts_no_more_workers_than_triangulations(
+    capsys, serial_pool, jobs, workers
+):
+    assert run(["verify-type-a", "--n", 2]) == 0
+    serial = capsys.readouterr().out
+    assert run(["verify-type-a", "--n", 2, "--jobs", jobs]) == 0
+    assert capsys.readouterr().out == serial
+    assert serial_pool == workers
 
 
 def test_type_flag_generates_standard_orientation(tmp_path, capsys):

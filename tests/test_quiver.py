@@ -18,6 +18,7 @@ from companion_bases.quiver import (
     canonical_companion,
     cartan_counterpart,
     chordless_cycles,
+    cycle_edges,
     dumps_exchange_matrix,
     dynkin_type_and_companion,
     dynkin_type_of,
@@ -178,6 +179,16 @@ def test_is_cyclically_oriented():
     assert is_cyclically_oriented(mutate(dynkin_orientation("A3"), 1), (0, 1, 2))
     with pytest.raises(ValueError, match="not present"):
         is_cyclically_oriented(pendant, (0, 2, 3))
+    # the first missing edge is named, the closing one checked last
+    with pytest.raises(ValueError, match=r"^cycle edge \(0,2\) not present$"):
+        is_cyclically_oriented(pendant, (0, 2, 1))
+    with pytest.raises(ValueError, match=r"^cycle edge \(2,0\) not present$"):
+        is_cyclically_oriented(pendant, (0, 1, 2))
+
+
+def test_cycle_edges_close_the_cycle_last():
+    assert cycle_edges((4, 7, 1)) == [(4, 7), (7, 1), (1, 4)]
+    assert cycle_edges([(0, 1), (1, 2)]) == [((0, 1), (1, 2)), ((1, 2), (0, 1))]
 
 
 def test_cartan_counterpart():

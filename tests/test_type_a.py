@@ -239,6 +239,102 @@ def test_random_triangulation_reproducible_and_covering():
     assert seen == set(enumerate_triangulations(2))
 
 
+# Reference polygon model, built the long way: every triangle of the polygon
+# found by a scan over corner triples, an arrow per pair of diagonal sides
+# directed by the anticlockwise rotation about their shared corner, and the
+# split bookkeeping that adds each sub-interval after its apex is chosen.
+
+
+def reference_triangles(n, diagonals):
+    corners = n + 3
+    edges = set(diagonals) | {(c, c + 1) for c in range(1, corners)} | {(1, corners)}
+    return [
+        (a, b, c)
+        for a in range(1, corners + 1)
+        for b in range(a + 1, corners + 1)
+        if (a, b) in edges
+        for c in range(b + 1, corners + 1)
+        if (b, c) in edges and (a, c) in edges
+    ]
+
+
+def reference_quiver(T):
+    corners = T.n + 3
+    index = {d: i for i, d in enumerate(T.diagonals)}
+    rows = [[0] * T.n for _ in range(T.n)]
+    for a, b, c in reference_triangles(T.n, T.diagonals):
+        sides = [s for s in ((a, b), (b, c), (a, c)) if s in index]
+        for s1 in sides:
+            for s2 in sides:
+                if s1 >= s2:
+                    continue
+                (p,) = set(s1) & set(s2)
+                q1 = s1[0] if s1[1] == p else s1[1]
+                q2 = s2[0] if s2[1] == p else s2[1]
+                if (q1 - p) % corners < (q2 - p) % corners:
+                    src, dst = index[s1], index[s2]
+                else:
+                    src, dst = index[s2], index[s1]
+                rows[src][dst] = 1
+                rows[dst][src] = -1
+    return tuple(tuple(row) for row in rows)
+
+
+def reference_interval_triangulations(i, j):
+    if j - i < 2:
+        return [()]
+    out = []
+    for apex in range(i + 1, j):
+        left = reference_interval_triangulations(i, apex)
+        right = reference_interval_triangulations(apex, j)
+        extra = []
+        if apex - i >= 2:
+            extra.append((i, apex))
+        if j - apex >= 2:
+            extra.append((apex, j))
+        for l in left:
+            for r in right:
+                out.append(l + r + tuple(extra))
+    return out
+
+
+def reference_random_triangulation(n, rng):
+    diagonals = []
+    stack = [(1, n + 3)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2:
+            continue
+        weights = [catalan(a - i - 1) * catalan(j - a - 1) for a in range(i + 1, j)]
+        apex = rng.choices(range(i + 1, j), weights=weights)[0]
+        if apex - i >= 2:
+            diagonals.append((i, apex))
+        if j - apex >= 2:
+            diagonals.append((apex, j))
+        stack.append((i, apex))
+        stack.append((apex, j))
+    return Triangulation(n, tuple(diagonals))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_and_quivers_match_the_reference(n):
+    expected = [Triangulation(n, ds) for ds in reference_interval_triangulations(1, n + 3)]
+    found = enumerate_triangulations(n)
+    assert [T.diagonals for T in found] == [T.diagonals for T in expected]
+    for T in found:
+        assert quiver_from_triangulation(T).entries == reference_quiver(T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+def test_random_draws_match_the_reference(n):
+    # several draws from one generator, so the number of calls is checked too
+    rng, reference_rng = random.Random(n), random.Random(n)
+    for _ in range(20):
+        T = random_triangulation(n, rng)
+        assert T.diagonals == reference_random_triangulation(n, reference_rng).diagonals
+        assert quiver_from_triangulation(T).entries == reference_quiver(T)
+
+
 def test_serialization():
     T = Triangulation(4, ((1, 3), (1, 5), (3, 5), (5, 7)))
     text = dumps_triangulation(T)
