@@ -8,6 +8,10 @@ Exit codes: 0 success, 2 malformed input (also conflicting options and files
 that cannot be read or written), 3 bad vertex index, 4 construction or search
 failure, 5 verification found a counterexample.  Every failure prints one
 "error:" line to stderr.
+
+The argument parser (PARSER) is built once, when this module is imported, and
+every main call reuses it; `import companion_bases` does not import this
+module, so library users never build it.
 """
 
 from __future__ import annotations
@@ -260,8 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args makes a fresh Namespace on every call, so one parser serves them all
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     # argparse before Python 3.12 reads the option value "--" (as in --k=--) as []
     for name, value in list(vars(args).items()):
         if value == []:

@@ -62,24 +62,26 @@ class Triangulation:
         object.__setattr__(self, "diagonals", diagonals)
         if len(set(diagonals)) != self.n:
             raise ValueError(f"expected {self.n} distinct diagonals")
-        for i, d1 in enumerate(diagonals):
-            for d2 in diagonals[i + 1 :]:
-                if diagonals_cross(d1, d2):
-                    raise ValueError(f"diagonals {d1} and {d2} cross")
+        if not _non_crossing(diagonals):
+            # the pairwise scan names the first crossing pair
+            for i, d1 in enumerate(diagonals):
+                for d2 in diagonals[i + 1 :]:
+                    if diagonals_cross(d1, d2):
+                        raise ValueError(f"diagonals {d1} and {d2} cross")
 
 
-def _interval_triangulations(i: int, j: int) -> list[tuple[Diagonal, ...]]:
-    # all triangulations of the sub-polygon on corners i, i+1, ..., j, each
-    # ending with the split interval (i, j) itself
-    if j - i < 2:
-        return [()]
-    return [
-        left + right + ((i, j),)
-        for apex in range(i + 1, j)
-        for left, right in product(
-            _interval_triangulations(i, apex), _interval_triangulations(apex, j)
-        )
-    ]
+def _non_crossing(diagonals) -> bool:
+    """Whether no two diagonals (i, j), i < j, cross: as intervals, each pair
+    nests or is disjoint (sharing an endpoint allowed), checked in one stack
+    pass over the intervals ordered by left end, longest first."""
+    open_ends: list[int] = []  # right ends of the enclosing intervals, innermost last
+    for i, j in sorted(diagonals, key=lambda d: (d[0], -d[1])):
+        while open_ends and open_ends[-1] <= i:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < j:
+            return False
+        open_ends.append(j)
+    return True
 
 
 def enumerate_triangulations(n: int) -> list[Triangulation]:
@@ -88,8 +90,22 @@ def enumerate_triangulations(n: int) -> list[Triangulation]:
         raise ValueError("n must be positive")
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} above the enumeration cap {ENUMERATION_CAP}")
+    corners = n + 3
+    # split[i, j]: all triangulations of the sub-polygon on corners i..j, each
+    # ending with the split interval (i, j) itself; filled by increasing length
+    split: dict[Diagonal, list[tuple[Diagonal, ...]]] = {
+        (i, i + 1): [()] for i in range(1, corners)
+    }
+    for length in range(2, corners):
+        for i in range(1, corners - length + 1):
+            j = i + length
+            split[i, j] = [
+                left + right + ((i, j),)
+                for apex in range(i + 1, j)
+                for left, right in product(split[i, apex], split[apex, j])
+            ]
     # the outer interval (1, n+3) is a boundary edge
-    return [Triangulation(n, ds[:-1]) for ds in _interval_triangulations(1, n + 3)]
+    return [Triangulation(n, ds[:-1]) for ds in split[1, corners]]
 
 
 def catalan(m: int) -> int:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -565,3 +569,119 @@ def test_companion_reports_disconnection_before_finite_type(tmp_path, capsys):
 def test_an_option_value_of_two_dashes_is_read_as_text(capsys, argv, message):
     assert run(argv) == 2
     assert_one_error_line(capsys, message)
+
+
+def capture(argv):
+    """(exit code, stdout, stderr) of one in-process call; argparse's own exits
+    (usage errors, --help) are caught as SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def cli_script(tmp_path, pendant_file, monkeypatch):
+    """A fixed list of (argv, expected exit code) over every subcommand.
+
+    Strongness is reported false on rank 2 only, so that verify-type-a --n 2
+    exits 5 while other ranks pass."""
+    strong = cli.is_strong_companion_basis
+    monkeypatch.setattr(
+        cli, "is_strong_companion_basis", lambda psi, B: B.n != 2 and strong(psi, B)
+    )
+    files = {
+        "square": '{"n": 4, "arrows": [[0, 1], [1, 2], [3, 2], [0, 3]]}',
+        "disconnected": '{"n": 3, "arrows": [[0, 1]]}',
+        "malformed": "{nope",
+        "basis": PENDANT_BASIS_JSON,
+        "wrong": json.dumps({**A2_BASIS, "gamma": [[1, 0], [-1, 0]]}),
+    }
+    path = {"pendant": pendant_file, "missing": tmp_path / "missing.json"}
+    for name, text in files.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(text)
+    return [
+        (["mutate", "--input", path["pendant"], "--k", 1], 0),
+        (["mutate", "--type", "A3", "--sequence", "0,1,2"], 0),
+        (["mutate", "--type", "A3", "--k", 7], 3),
+        (["mutate", "--type", "A3", "--k", "x"], 2),
+        (["mutate", "--type", "A3", "--k=--"], 2),
+        (["mutate", "--type", "A3"], 2),
+        (["mutate", "--type", "A3", "--k", 0, "--sequence", "1"], 2),
+        (["mutate", "--type", "E8", "--input", path["pendant"], "--k", 0], 2),
+        (["mutate", "--type", "A3", "--k"], 2),
+        (["mutate", "--help"], 0),
+        (["recognize", "--input", path["pendant"]], 0),
+        (["recognize", "--type", "E7"], 0),
+        (["recognize", "--input", path["square"]], 0),
+        (["recognize", "--input", path["malformed"]], 2),
+        (["recognize", "--input", path["missing"]], 2),
+        (["recognize", "--type", "E8", "--input", path["pendant"]], 2),
+        (["recognize", "--help"], 0),
+        (["companion", "--input", path["pendant"]], 0),
+        (["companion", "--type", "D5"], 0),
+        (["companion", "--input", path["disconnected"]], 4),
+        (["companion", "--input", path["square"]], 4),
+        (["companion", "--help"], 0),
+        (["dvectors", "--input", path["basis"]], 0),
+        (["dvectors", "--input", path["wrong"]], 4),
+        (["dvectors", "--input", path["malformed"]], 2),
+        (["dvectors", "--help"], 0),
+        (["verify-type-a", "--n", 2], 5),
+        (["verify-type-a", "--n", 1], 0),
+        (["--verbose", "verify-type-a", "--n", 3, "--mode", "sample", "--seed", 4, "--walk-length", 3], 0),
+        (["verify-type-a", "--n", 9], 2),
+        (["verify-type-a", "--n", 2, "--jobs=--"], 2),
+        (["verify-type-a", "--mode", "bogus"], 2),
+        (["verify-type-a", "--help"], 0),
+        ([], 2),
+        (["bogus"], 2),
+        (["--help"], 0),
+    ]
+
+
+def test_reusing_the_parser_leaks_no_state(cli_script, monkeypatch):
+    assert {code for _, code in cli_script} == {0, 2, 3, 4, 5}
+    shared = cli.PARSER
+    for script in (cli_script, cli_script[::-1]):
+        for argv, expected in script:
+            monkeypatch.setattr(cli, "PARSER", shared)
+            reused = capture(argv)
+            monkeypatch.setattr(cli, "PARSER", cli.build_parser())
+            assert reused == capture(argv), argv
+            assert reused[0] == expected, argv
+
+
+def test_main_never_rebuilds_the_parser(cli_script, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv, expected in cli_script[:20]:
+        assert capture(argv)[0] == expected, argv
+    assert built == []
+
+
+def test_importing_the_library_does_not_import_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import companion_bases, sys; print('companion_bases.cli' in sys.modules)",
+        ],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -16,8 +16,6 @@ PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
 ALLOWED = {
     "companion._gram_realization.extend",
     "root_system.graph_isomorphisms.extend",
-    # bounded by the enumeration cap n <= 9
-    "type_a._interval_triangulations",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
     StringWalk,
     Triangulation,
+    _non_crossing,
     almost_positive_root_of_diagonal,
     catalan,
     diagonals_cross,
@@ -54,6 +56,40 @@ def test_diagonals_cross():
     assert not diagonals_cross((1, 3), (3, 5))
     assert not diagonals_cross((1, 3), (4, 6))
     assert diagonals_cross((2, 6), (1, 3))
+
+
+def test_stack_crossing_check_agrees_with_the_pairwise_scan():
+    # random diagonal sets up to n = 9: subsets of all diagonals, and
+    # triangulations with one diagonal swapped for a random one, so both
+    # verdicts and shared endpoints are common
+    rng = random.Random(9)
+    verdicts, shared = [], 0
+    for _ in range(4000):
+        n = rng.randint(1, 9)
+        corners = n + 3
+        everything = [
+            (i, j)
+            for i in range(1, corners + 1)
+            for j in range(i + 2, corners + 1)
+            if (i, j) != (1, corners)
+        ]
+        if rng.random() < 0.5:
+            ds = rng.sample(everything, rng.randint(1, min(n, len(everything))))
+        else:
+            ds = list(random_triangulation(n, rng).diagonals)
+            ds[rng.randrange(n)] = rng.choice(everything)
+        pairs = list(combinations(sorted(set(ds)), 2))
+        crossing = [(d1, d2) for d1, d2 in pairs if diagonals_cross(d1, d2)]
+        shared += any(set(d1) & set(d2) for d1, d2 in pairs)
+        assert _non_crossing(ds) == (not crossing), ds
+        verdicts.append(not crossing)
+        if len(set(ds)) == n and crossing:
+            # the message names the first crossing pair in sorted order
+            d1, d2 = crossing[0]
+            with pytest.raises(ValueError) as exc:
+                Triangulation(n, tuple(ds))
+            assert str(exc.value) == f"diagonals {d1} and {d2} cross"
+    assert 1000 < sum(verdicts) < 3000 and shared > 1000
 
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 14), (4, 42), (5, 132)])
@@ -316,7 +352,7 @@ def reference_random_triangulation(n, rng):
     return Triangulation(n, tuple(diagonals))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_enumeration_and_quivers_match_the_reference(n):
     expected = [Triangulation(n, ds) for ds in reference_interval_triangulations(1, n + 3)]
     found = enumerate_triangulations(n)
