@@ -248,17 +248,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-type-a", help="check d-vectors against string modules in type A"
     )
-    io_args(p)
-    p.add_argument("--n", default=None)
-    p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    p.add_argument("--seed", default="0")
+    # generates its own input, so it takes no --input
+    p.add_argument("--output", default=None, help="output file ('-' for stdout)")
+    p.add_argument(
+        "--n", default=None, help="rank: triangulations of the (n+3)-gon (required)"
+    )
+    p.add_argument(
+        "--mode",
+        choices=["exhaustive", "sample"],
+        default="exhaustive",
+        help="every triangulation (n at most 8) or a seeded random sample",
+    )
+    p.add_argument("--seed", default="0", help="seed of the sample (default 0)")
     p.add_argument(
         "--walk-length",
         default=None,
         dest="walk_length",
         help="number of sampled triangulations in sample mode",
     )
-    p.add_argument("--jobs", default="1")
+    p.add_argument(
+        "--jobs",
+        default="1",
+        help=f"worker processes, at most {MAX_JOBS} (default 1)",
+    )
     p.set_defaults(func=cmd_verify_type_a)
 
     return parser

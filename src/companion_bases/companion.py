@@ -55,19 +55,31 @@ class CompanionBasis:
     """A vertex-indexed tuple of roots, candidate Z-basis of the root lattice.
 
     `ids` holds the root handles of the elements (see RootSystem.locate), so
-    form values between them are table lookups.
+    form values between them are table lookups.  `_checked` is the
+    ExchangeMatrix the basis last passed companion_basis_failure against.
     """
 
-    __slots__ = ("rs", "gamma", "ids", "_inverse")
+    __slots__ = ("rs", "gamma", "ids", "_inverse", "_checked")
 
     def __init__(self, rs: RootSystem, gamma):
         gamma = tuple(tuple(g) for g in gamma)
         if len(gamma) != rs.rank:
             raise ValueError(f"expected {rs.rank} roots, got {len(gamma)}")
-        self.ids = tuple(rs.locate(g) for g in gamma)
+        self._set(rs, gamma, tuple(rs.locate(g) for g in gamma))
+
+    @classmethod
+    def _from_handles(cls, rs: RootSystem, gamma, ids) -> CompanionBasis:
+        """A basis whose ids are already rs's handles of the tuples in gamma."""
+        psi = cls.__new__(cls)
+        psi._set(rs, gamma, ids)
+        return psi
+
+    def _set(self, rs: RootSystem, gamma, ids) -> None:
         self.rs = rs
         self.gamma = gamma
+        self.ids = ids
         self._inverse = None
+        self._checked = None
 
     def __eq__(self, other):
         return (
@@ -114,7 +126,16 @@ class CompanionBasis:
 
 
 def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | None:
-    """None when psi is a companion basis for B, else a diagnostic reason."""
+    """None when psi is a companion basis for B, else a diagnostic reason.
+
+    The full check (the determinant, then every pair of vertices) runs once
+    per (basis, matrix) pair: a pass is remembered on psi, and a later call
+    with the same B object (by identity, not equality) returns None at once.
+    Both are immutable, so the remembered pass stays exact.  Any other B is
+    checked in full, and a failure is never remembered.
+    """
+    if psi._checked is B:
+        return None
     n = B.n
     if len(psi.gamma) != n:
         return f"size mismatch: {len(psi.gamma)} roots for {n} vertices"
@@ -130,6 +151,7 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
         for y in range(x + 1, n):
             if abs(row[positive[y]]) != abs(b_x[y]):
                 return f"form/arrow mismatch at ({x},{y})"
+    psi._checked = B
     return None
 
 
@@ -206,7 +228,9 @@ def _mutate_basis(
 
     Checks that k is a vertex and psi a companion basis for B, then reflects
     in gamma_k the elements at the tails of arrows into k (inward) or at the
-    heads of arrows out of k (outward).
+    heads of arrows out of k (outward).  The result keeps psi's handles and
+    locates only the reflected elements, so each changed vector is still
+    checked to be a root.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"vertex {k} out of range for n={B.n}")
@@ -216,15 +240,17 @@ def _mutate_basis(
     rs = psi.rs
     mirror = psi.gamma[k]
     h_k = psi.ids[k]
-    new = list(psi.gamma)
+    gamma = list(psi.gamma)
+    ids = list(psi.ids)
     for x in range(B.n):
         moved = B.entries[x][k] > 0 if inward else B.entries[k][x] > 0
         if moved:
             # s_k(gamma_x) = gamma_x - c gamma_k with c = (gamma_x, gamma_k)
-            c = rs.form(psi.ids[x], h_k)
+            c = rs.form(ids[x], h_k)
             if c:
-                new[x] = tuple([g - c * m for g, m in zip(new[x], mirror)])
-    return CompanionBasis(rs, tuple(new)), mutate(B, k)
+                gamma[x] = tuple([g - c * m for g, m in zip(gamma[x], mirror)])
+                ids[x] = rs.locate(gamma[x])
+    return CompanionBasis._from_handles(rs, tuple(gamma), tuple(ids)), mutate(B, k)
 
 
 class DVectorSet:

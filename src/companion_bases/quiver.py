@@ -41,6 +41,17 @@ class ExchangeMatrix:
                 if self.entries[x][y] != -self.entries[y][x]:
                     raise ValueError(f"not skew-symmetric at ({x},{y})")
 
+    @classmethod
+    def _trusted(cls, entries) -> ExchangeMatrix:
+        """A matrix on rows of tuples already known to be square and skew-symmetric.
+
+        Skips __post_init__'s O(n^2) check; only code that preserves
+        skew-symmetry by construction (mutate) may call it.
+        """
+        B = object.__new__(cls)
+        object.__setattr__(B, "entries", entries)
+        return B
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -110,10 +121,14 @@ def mutate_entries(rows, k: int):
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation at vertex k; an involution preserving skew-symmetry."""
+    """Matrix mutation at vertex k; an involution preserving skew-symmetry.
+
+    k is range-checked; the result is not rechecked for skew-symmetry, since
+    mutate_entries keeps a skew-symmetric B skew-symmetric by construction.
+    """
     if not 0 <= k < B.n:
         raise IndexError(f"vertex {k} out of range for n={B.n}")
-    return ExchangeMatrix(mutate_entries(B.entries, k))
+    return ExchangeMatrix._trusted(mutate_entries(B.entries, k))
 
 
 def mutate_sequence(B: ExchangeMatrix, ks) -> ExchangeMatrix:

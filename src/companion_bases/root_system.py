@@ -281,28 +281,40 @@ def graph_isomorphisms(source, target):
     Both graphs are lists of neighbour sets on vertices 0..n-1.  The
     bijections are generated as tuples in lexicographic order: vertex 0 first,
     each vertex trying the unused targets of its degree in index order.
+    Backtracks on the partial image itself, so no recursion limit bounds n.
     """
     n = len(source)
-    image = [-1] * n
+    image: list[int] = []
     used = [False] * n
 
-    def extend(pos: int):
-        if pos == n:
-            yield tuple(image)
-            return
-        for cand in range(n):
-            if used[cand] or len(target[cand]) != len(source[pos]):
-                continue
-            if all(
+    def fits(pos: int, cand: int) -> bool:
+        return (
+            not used[cand]
+            and len(target[cand]) == len(source[pos])
+            and all(
                 (prev in source[pos]) == (image[prev] in target[cand])
                 for prev in range(pos)
-            ):
-                image[pos] = cand
-                used[cand] = True
-                yield from extend(pos + 1)
-                used[cand] = False
+            )
+        )
 
-    return extend(0)
+    start = 0  # the first target still to try for vertex len(image)
+    while True:
+        pos = len(image)
+        if pos == n:
+            yield tuple(image)
+            cand = n
+        else:
+            cand = next((c for c in range(start, n) if fits(pos, c)), n)
+        if cand < n:
+            image.append(cand)
+            used[cand] = True
+            start = 0
+        elif not image:
+            return
+        else:
+            last = image.pop()
+            used[last] = False
+            start = last + 1
 
 
 def diagram_automorphisms(dynkin: DynkinType) -> list[tuple[int, ...]]:

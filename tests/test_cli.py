@@ -449,14 +449,14 @@ def test_unreadable_input_is_exit_2(tmp_path, capsys):
         assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
 
-def assert_usage_error(capsys, argv):
+def assert_usage_error(capsys, argv, message="not allowed with argument"):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
-    assert "not allowed with argument" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("command", ["mutate", "recognize", "companion"])
@@ -464,6 +464,11 @@ def test_type_and_input_together_are_rejected(pendant_file, capsys, command):
     extra = ["--k", 0] if command == "mutate" else []
     argv = [command, "--type", "E8", "--input", pendant_file, *extra]
     assert_usage_error(capsys, argv)
+
+
+def test_verify_type_a_takes_no_input(capsys):
+    argv = ["verify-type-a", "--n", 1, "--input", "/nonexistent/file.json"]
+    assert_usage_error(capsys, argv, "unrecognized arguments: --input")
 
 
 @pytest.mark.parametrize("sequence", ["", "0", "1,2"])
@@ -637,6 +642,7 @@ def cli_script(tmp_path, pendant_file, monkeypatch):
         (["verify-type-a", "--n", 9], 2),
         (["verify-type-a", "--n", 2, "--jobs=--"], 2),
         (["verify-type-a", "--mode", "bogus"], 2),
+        (["verify-type-a", "--n", 1, "--input", path["missing"]], 2),
         (["verify-type-a", "--help"], 0),
         ([], 2),
         (["bogus"], 2),

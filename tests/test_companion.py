@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from companion_bases import companion
 from companion_bases.cli import main
 from companion_bases.companion import (
     CompanionBasis,
@@ -737,3 +738,144 @@ def test_companion_cli_prints_the_oracle_basis(tmp_path, capsys, label):
         captured = capsys.readouterr()
         assert captured.out == dumps_companion_basis(expected, B) + "\n"
         assert captured.err == ""
+
+
+def count_eliminations(monkeypatch):
+    """The list that gets one entry per det_bareiss call made through companion."""
+    calls = []
+    original = companion.det_bareiss
+
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(companion, "det_bareiss", counting)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["A8", "D8", "E8"])
+def test_a_walk_eliminates_once_per_new_basis(label, monkeypatch):
+    rng = random.Random(f"memo-walk:{label}")
+    B = dynkin_orientation(label)
+    psi = initial_companion_basis(B)
+    calls = count_eliminations(monkeypatch)
+    steps = 50
+    for _ in range(steps):
+        k = rng.randrange(B.n)
+        op = mutate_inward if rng.random() < 0.5 else mutate_outward
+        psi, B = op(psi, B, k)
+        assert companion_basis_failure(psi, B) is None
+    # the start basis once, then each step's output once; the next step's
+    # check of that same (basis, matrix) pair eliminates nothing
+    assert len(calls) == steps + 1
+
+
+def test_a_pass_is_remembered_for_the_same_matrix_object_only(monkeypatch):
+    psi, B = random_walk_basis("E8", 30, "memo-copy")
+    calls = count_eliminations(monkeypatch)
+    assert companion_basis_failure(psi, B) is None
+    assert companion_basis_failure(psi, B) is None
+    assert len(calls) == 1
+    copy = ExchangeMatrix(B.entries)
+    assert copy == B and copy is not B
+    assert companion_basis_failure(psi, copy) is None
+    assert len(calls) == 2
+
+
+def test_a_remembered_pass_does_not_cover_a_mutated_matrix(monkeypatch):
+    psi, B = random_walk_basis("D8", 30, "memo-mutated")
+    assert companion_basis_failure(psi, B) is None
+    calls = count_eliminations(monkeypatch)
+    mismatches = 0
+    for k in range(B.n):
+        B_k = mutate(B, k)
+        expected = failure_by_inner(psi, B_k)
+        assert companion_basis_failure(psi, B_k) == expected
+        mismatches += expected is not None
+    assert mismatches > 0
+    assert len(calls) == B.n
+
+
+def test_a_failure_is_never_remembered(monkeypatch):
+    psi, B = random_walk_basis("E7", 30, "memo-failure")
+    rows = [list(row) for row in B.entries]
+    rows[0][3], rows[3][0] = 2, -2
+    repeated = CompanionBasis(psi.rs, [psi.gamma[0]] + list(psi.gamma[:-1]))
+    calls = count_eliminations(monkeypatch)
+    for bad_psi, bad_B, reason in [
+        (psi, ExchangeMatrix.from_rows(rows), "form/arrow mismatch at (0,3)"),
+        (repeated, B, "not a Z-basis of the root lattice"),
+    ]:
+        before = len(calls)
+        assert companion_basis_failure(bad_psi, bad_B) == reason
+        assert companion_basis_failure(bad_psi, bad_B) == reason
+        assert len(calls) == before + 2
+
+
+def mismatch_count(psi, B):
+    return sum(
+        abs(psi.rs.form(psi.ids[x], psi.ids[y])) != abs(B.entries[x][y])
+        for x in range(B.n)
+        for y in range(x + 1, B.n)
+    )
+
+
+def several_corruptions(psi, B, rng):
+    """(basis, matrix) pairs near a companion basis, each broken in two places."""
+    n = B.n
+    rs = psi.rs
+    x, y, u, v = rng.sample(range(n), 4)
+    swapped = list(psi.gamma)
+    swapped[x], swapped[y] = swapped[y], swapped[x]
+    swapped[u], swapped[v] = swapped[v], swapped[u]
+    yield CompanionBasis(rs, swapped), B
+    replaced = list(psi.gamma)
+    for w in (x, u):
+        root = rs.positive_roots[rng.randrange(len(rs.positive_roots))]
+        replaced[w] = root if rng.random() < 0.5 else tuple(-c for c in root)
+    yield CompanionBasis(rs, replaced), B
+    wrong = [list(row) for row in B.entries]
+    for a, b in ((x, y), (u, v)):
+        value = rng.choice([0, 2, -3] if wrong[a][b] else [1, -1])
+        wrong[a][b], wrong[b][a] = value, -value
+    yield psi, ExchangeMatrix.from_rows(wrong)
+    doubled = [[2 * value for value in row] for row in B.entries]
+    yield psi, ExchangeMatrix.from_rows(doubled)
+    doubled = [list(row) for row in B.entries]
+    for w in range(n):
+        doubled[x][w] *= 2
+        doubled[w][x] *= 2
+    yield psi, ExchangeMatrix.from_rows(doubled)
+
+
+@pytest.mark.parametrize("label", ["A8", "D8", "E6", "E7", "E8"])
+def test_pair_scan_reports_the_first_mismatch_of_several(label):
+    rng = random.Random(f"several:{label}")
+    several = 0
+    for walk in range(4):
+        psi, B = random_walk_basis(label, 30, f"several:{label}:{walk}")
+        assert companion_basis_failure(psi, B) is None
+        for _ in range(5):
+            for bad_psi, bad_B in several_corruptions(psi, B, rng):
+                expected = failure_by_inner(bad_psi, bad_B)
+                assert companion_basis_failure(bad_psi, bad_B) == expected
+                if expected and expected.startswith("form/arrow"):
+                    several += mismatch_count(bad_psi, bad_B) >= 2
+        assert companion_basis_failure(psi, B) is None
+    assert several >= 50
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_mutated_basis_equals_the_basis_built_from_its_roots(label):
+    rng = random.Random(f"handles:{label}")
+    B = dynkin_orientation(label)
+    psi = initial_companion_basis(B)
+    for _ in range(60):
+        k = rng.randrange(B.n)
+        inward = rng.random() < 0.5
+        expected = mutated_by_reflection(psi, B, k, inward)
+        psi, B = (mutate_inward if inward else mutate_outward)(psi, B, k)
+        public = CompanionBasis(psi.rs, expected)
+        assert psi.gamma == public.gamma
+        assert psi.ids == public.ids
+        assert all(type(g) is tuple for g in psi.gamma)

@@ -15,7 +15,6 @@ PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
 # module.function, with enclosing functions and classes in the name
 ALLOWED = {
     "companion._gram_realization.extend",
-    "root_system.graph_isomorphisms.extend",
 }
 
 

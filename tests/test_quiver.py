@@ -423,6 +423,42 @@ def test_mutate_entries_matches_dense_formula_on_walks(start):
         assert largest >= 2  # the walk met multiple arrows
 
 
+def assert_mutation_passes_the_checked_constructor(B):
+    for k in range(B.n):
+        trusted = mutate(B, k)
+        checked = ExchangeMatrix(trusted.entries)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert trusted.neighbours == checked.neighbours
+        assert all(type(row) is tuple for row in trusted.entries)
+
+
+@pytest.mark.parametrize("label", ["A1", "A8", "D8", "E6", "E7", "E8"])
+def test_mutate_agrees_with_the_checked_constructor_on_walks(label):
+    rng = random.Random(f"trusted:{label}")
+    B = dynkin_orientation(label)
+    for _ in range(40):
+        assert_mutation_passes_the_checked_constructor(B)
+        B = mutate(B, rng.randrange(B.n))
+
+
+def test_mutate_agrees_with_the_checked_constructor_on_random_skew_matrices():
+    rng = random.Random("trusted:skew")
+    infinite = 0
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rng.randint(-3, 3)
+                rows[j][i] = -rows[i][j]
+        B = ExchangeMatrix.from_rows(rows)
+        infinite += not is_finite_type(B)
+        for _ in range(3):
+            assert_mutation_passes_the_checked_constructor(B)
+            B = mutate(B, rng.randrange(n))
+    assert infinite > 100
+
+
 def leading_minors_oracle(A):
     """det A when every leading principal minor is positive, else 0."""
     minors = [det_bareiss(tuple(row[:k] for row in A[:k])) for k in range(1, len(A) + 1)]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,9 @@ from companion_bases.root_system import (
     apply_automorphism,
     build_root_system,
     diagram_automorphisms,
+    graph_isomorphisms,
     lattice_inverse,
+    neighbour_sets,
 )
 from companion_bases.companion import CompanionBasis
 
@@ -219,6 +222,64 @@ def test_diagram_automorphism_counts():
     assert len(diagram_automorphisms(DynkinType("D", 5))) == 2
     assert len(diagram_automorphisms(DynkinType("E", 6))) == 2
     assert len(diagram_automorphisms(DynkinType("E", 7))) == 1
+
+
+def recursive_isomorphisms(source, target):
+    """graph_isomorphisms as a recursive generator: the reference order."""
+    n = len(source)
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(pos):
+        if pos == n:
+            yield tuple(image)
+            return
+        for cand in range(n):
+            if used[cand] or len(target[cand]) != len(source[pos]):
+                continue
+            if all(
+                (prev in source[pos]) == (image[prev] in target[cand])
+                for prev in range(pos)
+            ):
+                image[pos] = cand
+                used[cand] = True
+                yield from extend(pos + 1)
+                used[cand] = False
+
+    return extend(0)
+
+
+ISOMORPHISM_LABELS = (
+    [f"A{n}" for n in range(1, 15)] + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("label", ISOMORPHISM_LABELS)
+def test_isomorphisms_come_in_the_recursive_order(label):
+    dynkin = DynkinType.parse(label)
+    adjacency = dynkin.adjacency()
+    rng = random.Random(f"isomorphisms:{label}")
+    graphs = [adjacency]
+    for _ in range(3):
+        perm = list(range(dynkin.rank))
+        rng.shuffle(perm)
+        graphs.append(
+            neighbour_sets(dynkin.rank, [(perm[i], perm[j]) for i, j in dynkin.edges()])
+        )
+    for source in graphs:
+        assert list(graph_isomorphisms(source, adjacency)) == list(
+            recursive_isomorphisms(source, adjacency)
+        )
+    assert diagram_automorphisms(dynkin) == list(recursive_isomorphisms(adjacency, adjacency))
+
+
+def test_isomorphisms_of_unequal_and_empty_graphs():
+    path = DynkinType("A", 4).adjacency()
+    star = neighbour_sets(4, [(0, 1), (0, 2), (0, 3)])
+    assert list(graph_isomorphisms(path, star)) == []
+    assert list(graph_isomorphisms(star, star)) == list(recursive_isomorphisms(star, star))
+    assert len(list(graph_isomorphisms(star, star))) == 6
+    assert list(graph_isomorphisms((), ())) == [()]
 
 
 @pytest.mark.parametrize("label", ["A4", "D4", "E6"])
