@@ -28,8 +28,6 @@ from .quiver import (
     mutate_entries,
 )
 from .root_system import (
-    NEGATIVE_ROOT,
-    NOT_ROOT,
     DynkinType,
     Root,
     RootSystem,
@@ -54,42 +52,41 @@ class MutationSearchError(RuntimeError):
 class CompanionBasis:
     """A vertex-indexed tuple of roots, candidate Z-basis of the root lattice.
 
-    `ids` holds the root handles of the elements (see RootSystem.locate), so
-    form values between them are table lookups.  `_checked` is the
-    ExchangeMatrix the basis last passed companion_basis_failure against.
+    The basis is its root handles `ids` (see RootSystem.locate), so form
+    values and reflections are table lookups; `_set` derives `gamma`, the
+    coordinate tuples, from them.  The constructor locates the vectors it is
+    given; library code builds bases from handles with `_from_ids`.  `_checked`
+    is the ExchangeMatrix the basis last passed companion_basis_failure against.
     """
 
     __slots__ = ("rs", "gamma", "ids", "_inverse", "_checked")
 
     def __init__(self, rs: RootSystem, gamma):
-        gamma = tuple(tuple(g) for g in gamma)
+        gamma = [tuple(g) for g in gamma]
         if len(gamma) != rs.rank:
             raise ValueError(f"expected {rs.rank} roots, got {len(gamma)}")
-        self._set(rs, gamma, tuple(rs.locate(g) for g in gamma))
+        self._set(rs, tuple(map(rs.locate, gamma)))
 
     @classmethod
-    def _from_handles(cls, rs: RootSystem, gamma, ids) -> CompanionBasis:
-        """A basis whose ids are already rs's handles of the tuples in gamma."""
+    def _from_ids(cls, rs: RootSystem, ids: tuple[int, ...]) -> CompanionBasis:
+        """The basis whose elements have the handles ids in rs; locates nothing."""
         psi = cls.__new__(cls)
-        psi._set(rs, gamma, ids)
+        psi._set(rs, ids)
         return psi
 
-    def _set(self, rs: RootSystem, gamma, ids) -> None:
-        self.rs = rs
-        self.gamma = gamma
-        self.ids = ids
-        self._inverse = None
-        self._checked = None
+    def _set(self, rs: RootSystem, ids: tuple[int, ...]) -> None:
+        self.rs, self.ids, self.gamma = rs, ids, tuple(map(rs.root, ids))
+        self._inverse = self._checked = None
 
     def __eq__(self, other):
         return (
             isinstance(other, CompanionBasis)
             and self.rs.dynkin == other.rs.dynkin
-            and self.gamma == other.gamma
+            and self.ids == other.ids
         )
 
     def __hash__(self):
-        return hash((self.rs.dynkin, self.gamma))
+        return hash((self.rs.dynkin, self.ids))
 
     def __repr__(self):
         return f"CompanionBasis({self.rs.dynkin}, {list(self.gamma)})"
@@ -120,9 +117,7 @@ class CompanionBasis:
 
     def support(self, alpha) -> frozenset[int]:
         """Vertices with a nonzero expansion coefficient."""
-        if not self.rs.is_root(alpha):
-            raise ValueError(f"{alpha} is not a root")
-        return frozenset(x for x, c in enumerate(self.expand(alpha)) if c)
+        return frozenset(x for x, c in enumerate(self.d_vector(alpha)) if c)
 
 
 def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | None:
@@ -178,18 +173,17 @@ def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
     if image is None:
         raise ValueError("quiver is not an orientation of the Dynkin diagram")
     rs = build_root_system(dynkin)
-    return CompanionBasis(rs, tuple(rs.simple_roots[image[x]] for x in range(n)))
+    return CompanionBasis._from_ids(rs, tuple(rs.simple_first[i] for i in image))
 
 
 def sign_change(psi: CompanionBasis, vertices) -> CompanionBasis:
-    """Negate the basis elements at the given vertices; an involution."""
+    """Negate the elements at the given vertices, each in 0..n-1; an involution."""
     flip = set(vertices)
-    return CompanionBasis(
-        psi.rs,
-        tuple(
-            tuple(-c for c in g) if x in flip else g
-            for x, g in enumerate(psi.gamma)
-        ),
+    for v in flip:
+        if v not in range(psi.rs.rank):
+            raise IndexError(f"vertex {v} out of range for n={psi.rs.rank}")
+    return CompanionBasis._from_ids(
+        psi.rs, tuple(~h if x in flip else h for x, h in enumerate(psi.ids))
     )
 
 
@@ -199,12 +193,16 @@ def transform(psi: CompanionBasis, word=(), perm=None) -> CompanionBasis:
     Leaves the Gram matrix unchanged, so the result is a companion basis for
     the same quivers psi serves.
     """
-    rs = psi.rs
-    out = []
-    for g in psi.gamma:
-        moved = apply_automorphism(perm, g) if perm is not None else g
-        out.append(rs.apply_word(word, moved))
-    return CompanionBasis(rs, tuple(out))
+    rs, ids = psi.rs, psi.ids
+    if perm is not None:
+        # perm comes from the caller, so locating its images checks them
+        ids = tuple(rs.locate(apply_automorphism(perm, g)) for g in psi.gamma)
+    for letter in word:
+        if not rs.is_root(letter):
+            raise ValueError(f"mirror {letter} is not a root")
+        m = rs.locate(letter)
+        ids = tuple(rs.reflect_handle(h, m) for h in ids)
+    return CompanionBasis._from_ids(rs, ids)
 
 
 def mutate_inward(
@@ -228,9 +226,7 @@ def _mutate_basis(
 
     Checks that k is a vertex and psi a companion basis for B, then reflects
     in gamma_k the elements at the tails of arrows into k (inward) or at the
-    heads of arrows out of k (outward).  The result keeps psi's handles and
-    locates only the reflected elements, so each changed vector is still
-    checked to be a root.
+    heads of arrows out of k (outward), on their handles.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"vertex {k} out of range for n={B.n}")
@@ -238,19 +234,11 @@ def _mutate_basis(
     if failure is not None:
         raise ValueError(f"invalid companion basis: {failure}")
     rs = psi.rs
-    mirror = psi.gamma[k]
     h_k = psi.ids[k]
-    gamma = list(psi.gamma)
-    ids = list(psi.ids)
-    for x in range(B.n):
-        moved = B.entries[x][k] > 0 if inward else B.entries[k][x] > 0
-        if moved:
-            # s_k(gamma_x) = gamma_x - c gamma_k with c = (gamma_x, gamma_k)
-            c = rs.form(ids[x], h_k)
-            if c:
-                gamma[x] = tuple([g - c * m for g, m in zip(gamma[x], mirror)])
-                ids[x] = rs.locate(gamma[x])
-    return CompanionBasis._from_handles(rs, tuple(gamma), tuple(ids)), mutate(B, k)
+    # entry x is positive when x is a tail (inward) or a head (outward)
+    arrows = [row[k] for row in B.entries] if inward else B.entries[k]
+    ids = tuple(rs.reflect_handle(h, h_k) if b > 0 else h for h, b in zip(psi.ids, arrows))
+    return CompanionBasis._from_ids(rs, ids), mutate(B, k)
 
 
 class DVectorSet:
@@ -327,15 +315,10 @@ def root_with_support_string(psi: CompanionBasis, walk) -> Root:
                     f"walk is not a string: vertices {x},{walk[j]} "
                     f"{'joined' if paired else 'not joined'}"
                 )
-    beta = psi.gamma[walk[0]]
+    beta = psi.ids[walk[0]]
     for x in walk[1:]:
-        beta = rs._reflect_raw(beta, psi.gamma[x])
-    kind = rs.classify(beta)
-    if kind == NOT_ROOT:
-        raise ValueError("reflection sequence left the root system")
-    if kind == NEGATIVE_ROOT:
-        beta = tuple(-c for c in beta)
-    return beta
+        beta = rs.reflect_handle(beta, psi.ids[x])
+    return rs.root(beta if beta >= 0 else ~beta)
 
 
 def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> list[int]:
@@ -381,12 +364,12 @@ def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> lis
     raise MutationSearchError("mutation class contains no tree")
 
 
-def _gram_realization(rs: RootSystem, A) -> tuple[Root, ...] | None:
-    """Roots gamma with (gamma_v, gamma_u) = A[v][u] for all v, u, or None.
+def _gram_realization(rs: RootSystem, A) -> tuple[int, ...] | None:
+    """Handles of roots gamma with (gamma_v, gamma_u) = A[v][u] for all v, u, or None.
 
-    A must be connected.  Backtracks over the vertices in breadth-first order
-    from vertex 0 (vertices joined by a nonzero entry are neighbours, taken in
-    index order).  Vertex 0 gets the simple root e_0: the Weyl group is
+    A must be connected.  Backtracks, on an explicit stack, over the vertices in
+    breadth-first order from vertex 0 (vertices joined by a nonzero entry are
+    neighbours, taken in index order).  Vertex 0 gets the simple root e_0: the Weyl group is
     transitive on the roots of a simply-laced type, so any realization can be
     moved to one that starts there.  Every other vertex tries the simple roots
     in index order, then the other positive roots in stored order, then the
@@ -411,9 +394,8 @@ def _gram_realization(rs: RootSystem, A) -> tuple[Root, ...] | None:
     def place(v: int, p: int, s: int) -> None:
         ps[v], signs[v], rows[v] = p, s, form_row(p)
 
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
+    def candidates(pos: int):
+        """(p, s) for each root s * alpha_p that fits vertex order[pos], in trial order."""
         v = order[pos]
         u0 = parent[v]
         a_v = A[v]
@@ -431,15 +413,21 @@ def _gram_realization(rs: RootSystem, A) -> tuple[Root, ...] | None:
             for row in zeros:
                 found = [p for p in found if not row[p]]
             for p in found:
-                place(v, p, s)
-                if extend(pos + 1):
-                    return True
-        return False
+                yield p, s
 
-    place(0, rs.locate(rs.simple_roots[0]), 1)
-    if not extend(1):
-        return None
-    return tuple(rs.root(p if s > 0 else ~p) for p, s in zip(ps, signs))
+    place(0, rs.simple_first[0], 1)
+    # trials[i] yields the untried candidates for order[i + 1]; the last, for n, never runs
+    trials = [candidates(1)]
+    while len(trials) < n:
+        trial = next(trials[-1], None)
+        if trial is not None:
+            place(order[len(trials)], *trial)
+            trials.append(candidates(len(trials) + 1))
+        else:
+            trials.pop()
+            if not trials:
+                return None
+    return tuple(p if s > 0 else ~p for p, s in zip(ps, signs))
 
 
 def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
@@ -454,10 +442,10 @@ def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
     """
     dynkin, A = dynkin_type_and_companion(B)
     rs = build_root_system(dynkin)
-    gamma = _gram_realization(rs, A)
-    if gamma is None:
+    ids = _gram_realization(rs, A)
+    if ids is None:
         raise MutationSearchError(f"no roots of {dynkin} realize the companion")
-    psi = CompanionBasis(rs, gamma)
+    psi = CompanionBasis._from_ids(rs, ids)
     failure = companion_basis_failure(psi, B)
     if failure is not None:
         raise MutationSearchError(f"realized basis is invalid: {failure}")

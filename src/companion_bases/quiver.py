@@ -26,7 +26,7 @@ NO_POSITIVE_COMPANION = "no positive quasi-Cartan companion"
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Immutable skew-symmetric integer matrix."""
+    """Immutable skew-symmetric matrix of plain integers (not floats or bools)."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -34,6 +34,8 @@ class ExchangeMatrix:
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("matrix is not square")
+        if not all(all(map(_is_int, row)) for row in self.entries):
+            raise ValueError("matrix entries must be integers")
         for x in range(n):
             if self.entries[x][x] != 0:
                 raise ValueError(f"nonzero diagonal entry at {x}")
@@ -58,7 +60,7 @@ class ExchangeMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> ExchangeMatrix:
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def from_arrows(cls, n: int, arrows) -> ExchangeMatrix:
@@ -307,7 +309,8 @@ def is_positive_quasi_cartan(A) -> bool:
 def simultaneous_sign_change(A, vertices) -> SymMatrix:
     """Flip the sign of rows and columns in the given vertex set at once."""
     n = len(A)
-    sign = [-1 if x in set(vertices) else 1 for x in range(n)]
+    flip = set(vertices)
+    sign = [-1 if x in flip else 1 for x in range(n)]
     return tuple(
         tuple(sign[x] * sign[y] * A[x][y] for y in range(n)) for x in range(n)
     )

@@ -116,6 +116,7 @@ class RootSystem:
     `simple_first` lists the positive handles with the simple roots first,
     in index order, then the other positive roots in stored order;
     `with_form_value(p, w)` lists those with form value w against root p.
+    `reflect_handle` reflects handles through a memoized row per positive mirror.
     """
 
     def __init__(self, dynkin: DynkinType):
@@ -153,6 +154,7 @@ class RootSystem:
             index[e] for e in self.simple_roots
         ) + tuple(range(n, len(roots)))
         self._form_rows: list[tuple[int, ...] | None] = [None] * len(roots)
+        self._reflection_rows: list[tuple[int, ...] | None] = [None] * len(roots)
         self._levels: list[dict[int, tuple[int, ...]] | None] = [None] * len(roots)
 
     @property
@@ -189,7 +191,7 @@ class RootSystem:
         """The root with handle h; the inverse of locate."""
         if h >= 0:
             return self.positive_roots[h]
-        return tuple(-c for c in self.positive_roots[~h])
+        return tuple([-c for c in self.positive_roots[~h]])
 
     def form_row(self, p: int) -> tuple[int, ...]:
         """(alpha_p, alpha_q) for every positive root q, in stored order.
@@ -226,6 +228,23 @@ class RootSystem:
         value = self.form_row(h if h >= 0 else ~h)[k if k >= 0 else ~k]
         return value if (h < 0) == (k < 0) else -value
 
+    def reflect_handle(self, h: int, m: int) -> int:
+        """Handle of s_m(h), the reflection of root h in the hyperplane of root m.
+
+        s_-m = s_m and s_m(-alpha) = -s_m(alpha), so one row per positive mirror
+        p serves: entry q is the handle of alpha_q - (alpha_q, alpha_p) alpha_p,
+        computed on first use and memoized like form_row.
+        """
+        p = m if m >= 0 else ~m
+        row = self._reflection_rows[p]
+        if row is None:
+            mirror = self.positive_roots[p]
+            row = self._reflection_rows[p] = tuple(
+                self.locate([a - c * b for a, b in zip(alpha, mirror)]) if c else q
+                for q, (alpha, c) in enumerate(zip(self.positive_roots, self.form_row(p)))
+            )
+        return row[h] if h >= 0 else ~row[~h]
+
     def is_root(self, v) -> bool:
         return self.classify(v) != NOT_ROOT
 
@@ -240,24 +259,13 @@ class RootSystem:
             return NEGATIVE_ROOT
         return NOT_ROOT
 
-    def _reflect_raw(self, a: Root, mirror: Root) -> Root:
-        c = self.inner(a, mirror)
-        if c == 0:
-            return tuple(a)
-        return tuple(x - c * m for x, m in zip(a, mirror))
-
     def reflect(self, a, mirror) -> Root:
         """Reflection of a in the hyperplane orthogonal to a root."""
         if not self.is_root(mirror):
             raise ValueError(f"mirror {mirror} is not a root")
-        return self._reflect_raw(tuple(a), tuple(mirror))
-
-    def apply_word(self, letters, a) -> Root:
-        """Apply the reflections of a word of roots, first letter acting first."""
-        out = tuple(a)
-        for letter in letters:
-            out = self.reflect(out, letter)
-        return out
+        a = tuple(a)
+        c = self.inner(a, mirror)
+        return tuple(x - c * m for x, m in zip(a, mirror)) if c else a
 
 
 @lru_cache(maxsize=None)

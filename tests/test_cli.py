@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from companion_bases import cli, quiver
+from companion_bases import cli, quiver, type_a
 from companion_bases.cli import main
 from companion_bases.companion import loads_companion_basis, is_companion_basis
 from companion_bases.quiver import loads_exchange_matrix
@@ -226,6 +226,22 @@ def test_dvectors_keeps_exit_4_for_a_wrong_basis_of_the_right_size(tmp_path, cap
     path.write_text(json.dumps({**A2_BASIS, "gamma": [[1, 0], [-1, 0]]}))
     assert run(["dvectors", "--input", path]) == 4
     assert capsys.readouterr().err == "error: not a Z-basis of the root lattice\n"
+
+
+def test_verify_type_a_enumerates_the_strings_once_per_triangulation(monkeypatch):
+    calls = []
+    original = type_a.enumerate_strings
+
+    def counting(B):
+        calls.append(B)
+        return original(B)
+
+    monkeypatch.setattr(type_a, "enumerate_strings", counting)
+    triangulations = type_a.enumerate_triangulations(4)
+    for T in triangulations:
+        B = type_a.quiver_from_triangulation(T)
+        assert cli._verify_one(T)["n_strings"] == len(original(B)) == 10
+    assert len(calls) == len(triangulations)
 
 
 def test_verify_type_a(tmp_path):

@@ -38,6 +38,7 @@ from companion_bases.quiver import (
 )
 from companion_bases.root_system import (
     DynkinType,
+    RootSystem,
     basis_columns,
     build_root_system,
     diagram_automorphisms,
@@ -192,6 +193,14 @@ def test_transform_examples():
     assert moved.gamma == ((-1, 0), (1, 1))
     assert moved.gram() == PI_A2.gram()
     assert is_companion_basis(moved, B_A2)
+    a1, a2 = A2.simple_roots
+    assert transform(PI_A2, word=(a2, a1)).gamma == tuple(
+        A2.reflect(A2.reflect(g, a2), a1) for g in PI_A2.gamma
+    )
+    with pytest.raises(ValueError, match=r"^mirror \(2, 0\) is not a root$"):
+        transform(PI_A2, word=((2, 0),))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        transform(PI_A2, word=((1, 0, 0),))
 
 
 def test_transform_with_automorphism(pendant_basis, pendant_quiver):
@@ -705,7 +714,7 @@ def assert_realizations_agree(B):
     rs = build_root_system(dynkin)
     expected = gram_realization_by_dot_products(rs, A)
     assert expected is not None
-    assert _gram_realization(rs, A) == expected
+    assert tuple(map(rs.root, _gram_realization(rs, A))) == expected
 
 
 ORACLE_LABELS = (
@@ -879,3 +888,73 @@ def test_mutated_basis_equals_the_basis_built_from_its_roots(label):
         assert psi.gamma == public.gamma
         assert psi.ids == public.ids
         assert all(type(g) is tuple for g in psi.gamma)
+
+
+def test_sign_change_rejects_a_vertex_out_of_range(pendant_basis):
+    for bad in ([99], {0, 4}, [-1]):
+        with pytest.raises(IndexError, match=r"^vertex (99|4|-1) out of range for n=4$"):
+            sign_change(pendant_basis, bad)
+    assert sign_change(pendant_basis, (v for v in [1, 3])) == sign_change(
+        pendant_basis, {1, 3}
+    )
+
+
+def assert_one_root_representation(psi):
+    """gamma is derived from the handles, as tuples of plain ints."""
+    assert psi.gamma == tuple(map(psi.rs.root, psi.ids))
+    assert all(type(g) is tuple for g in psi.gamma)
+    assert all(type(c) is int for g in psi.gamma for c in g)
+    assert all(type(h) is int for h in psi.ids)
+
+
+@pytest.mark.parametrize("label", ["A5", "D6", "E7"])
+def test_every_library_basis_is_its_handles(label):
+    rng = random.Random(f"one-representation:{label}")
+    B = dynkin_orientation(label)
+    psi = initial_companion_basis(B)
+    assert_one_root_representation(psi)
+    perms = diagram_automorphisms(psi.rs.dynkin)
+    roots = psi.rs.positive_roots
+    for _ in range(30):
+        k = rng.randrange(B.n)
+        psi, B = (mutate_inward if rng.random() < 0.5 else mutate_outward)(psi, B, k)
+        assert_one_root_representation(psi)
+        flipped = sign_change(psi, rng.sample(range(B.n), 2))
+        assert_one_root_representation(flipped)
+        word = [rng.choice(roots) for _ in range(3)]
+        moved = transform(flipped, word=word, perm=rng.choice(perms))
+        assert_one_root_representation(moved)
+        loaded, _ = loads_companion_basis(dumps_companion_basis(moved, B))
+        assert_one_root_representation(loaded)
+        assert_one_root_representation(companion_basis_for(B))
+
+
+def test_the_constructor_stores_plain_int_coordinates():
+    psi = CompanionBasis(A2, [(1.0, 0.0), (False, True)])
+    assert psi == PI_A2
+    assert_one_root_representation(psi)
+    assert repr(psi) == "CompanionBasis(A2, [(1, 0), (0, 1)])"
+    assert dumps_companion_basis(psi, B_A2) == dumps_companion_basis(PI_A2, B_A2)
+
+
+@pytest.mark.parametrize("label", ["A8", "D8", "E8"])
+def test_a_walk_locates_nothing_once_the_reflection_rows_are_filled(label, monkeypatch):
+    B = dynkin_orientation(label)
+    psi = initial_companion_basis(B)
+    rs = psi.rs
+    for p in range(len(rs.positive_roots)):
+        rs.reflect_handle(0, p)
+    calls = []
+    original = RootSystem.locate
+
+    def counting(self, v):
+        calls.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(RootSystem, "locate", counting)
+    rng = random.Random(f"no-locate:{label}")
+    for _ in range(200):
+        k = rng.randrange(B.n)
+        psi, B = (mutate_inward if rng.random() < 0.5 else mutate_outward)(psi, B, k)
+    assert companion_basis_failure(psi, B) is None
+    assert calls == []

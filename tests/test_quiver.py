@@ -51,6 +51,24 @@ def test_validation():
         ExchangeMatrix.from_rows([[0, 1]])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1.9], [-1.9, 0]],
+        [[0, 1.0], [-1.0, 0]],
+        [[0.0, 1], [-1, 0]],
+        [[0, True], [-1, 0]],
+        [[0, 1], [-1, False]],
+        [[0, "1"], ["-1", 0]],
+    ],
+)
+def test_entries_that_are_not_plain_integers_are_rejected(rows):
+    with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+        ExchangeMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+        ExchangeMatrix(tuple(map(tuple, rows)))
+
+
 def test_arrows_roundtrip():
     B = ExchangeMatrix.from_arrows(4, PENDANT_ARROWS)
     assert B.arrows() == sorted(PENDANT_ARROWS)
@@ -297,6 +315,15 @@ def test_simultaneous_sign_change():
     assert flipped == ((2, 1), (1, 2))
     assert is_positive_quasi_cartan(flipped)
     assert simultaneous_sign_change(flipped, {0}) == a2
+
+
+def test_simultaneous_sign_change_reads_any_iterable_once():
+    a3 = DynkinType("A", 3).cartan_matrix()
+    expected = simultaneous_sign_change(a3, {1, 2})
+    assert expected == ((2, 1, 0), (1, 2, -1), (0, -1, 2))
+    assert simultaneous_sign_change(a3, [1, 2]) == expected
+    assert simultaneous_sign_change(a3, (v for v in [1, 2])) == expected
+    assert simultaneous_sign_change(a3, iter([2, 1, 2])) == expected
 
 
 def test_finite_type_verdicts():

@@ -159,11 +159,37 @@ def test_classify():
     assert A2.classify((0, 0)) == NOT_ROOT
 
 
-def test_apply_word():
-    a1, a2 = A2.simple_roots
-    assert A2.apply_word((), a1) == a1
-    assert A2.apply_word((a2,), a1) == (1, 1)
-    assert A2.apply_word((a2, a2), a1) == a1
+def test_reflect_handle_examples():
+    h1, h2 = (A2.locate(e) for e in A2.simple_roots)
+    assert A2.root(A2.reflect_handle(h1, h2)) == (1, 1)
+    assert A2.reflect_handle(A2.reflect_handle(h1, h2), h2) == h1
+    assert A2.reflect_handle(h1, h1) == ~h1
+    assert A2.reflect_handle(h1, ~h2) == A2.reflect_handle(h1, h2)
+    assert A2.reflect_handle(~h1, h2) == ~A2.reflect_handle(h1, h2)
+
+
+REFLECTION_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("label", REFLECTION_LABELS)
+def test_reflect_handle_matches_reflect_on_every_pair_of_roots(label):
+    rs = RootSystem(DynkinType.parse(label))
+    handles = range(-len(rs.positive_roots), len(rs.positive_roots))
+    for m in handles:
+        mirror = rs.root(m)
+        for h in handles:
+            assert rs.root(rs.reflect_handle(h, m)) == rs.reflect(rs.root(h), mirror)
+
+
+def test_reflection_rows_fill_lazily_one_per_positive_mirror():
+    rs = RootSystem(DynkinType("E", 8))
+    assert rs._reflection_rows == [None] * 120
+    rs.reflect_handle(5, ~7)
+    rs.reflect_handle(~3, 7)
+    assert [p for p, row in enumerate(rs._reflection_rows) if row is not None] == [7]
+    assert all(type(h) is int for h in rs._reflection_rows[7])
 
 
 def all_roots(rs):
