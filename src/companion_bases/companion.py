@@ -15,7 +15,6 @@ from collections import deque
 from .intlinalg import det_bareiss, mat_vec
 from .quiver import (
     ExchangeMatrix,
-    breadth_first,
     dump_json,
     dynkin_type_and_companion,
     dynkin_type_of,
@@ -32,9 +31,11 @@ from .root_system import (
     Root,
     RootSystem,
     apply_automorphism,
+    breadth_first,
     build_root_system,
     graph_isomorphisms,
     lattice_inverse,
+    placements,
 )
 
 DVector = tuple[int, ...]
@@ -191,11 +192,14 @@ def transform(psi: CompanionBasis, word=(), perm=None) -> CompanionBasis:
     """Apply a diagram automorphism then a word of reflections to every element.
 
     Leaves the Gram matrix unchanged, so the result is a companion basis for
-    the same quivers psi serves.
+    the same quivers psi serves.  A perm that is not a diagram automorphism
+    raises ValueError.
     """
     rs, ids = psi.rs, psi.ids
     if perm is not None:
-        # perm comes from the caller, so locating its images checks them
+        cartan = rs.cartan
+        if cartan != tuple(tuple(cartan[i][j] for j in perm) for i in perm):
+            raise ValueError(f"{tuple(perm)} is not a diagram automorphism of {rs.dynkin}")
         ids = tuple(rs.locate(apply_automorphism(perm, g)) for g in psi.gamma)
     for letter in word:
         if not rs.is_root(letter):
@@ -367,36 +371,35 @@ def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> lis
 def _gram_realization(rs: RootSystem, A) -> tuple[int, ...] | None:
     """Handles of roots gamma with (gamma_v, gamma_u) = A[v][u] for all v, u, or None.
 
-    A must be connected.  Backtracks, on an explicit stack, over the vertices in
+    A must be connected.  Backtracks (`placements`) over the vertices in
     breadth-first order from vertex 0 (vertices joined by a nonzero entry are
-    neighbours, taken in index order).  Vertex 0 gets the simple root e_0: the Weyl group is
-    transitive on the roots of a simply-laced type, so any realization can be
-    moved to one that starts there.  Every other vertex tries the simple roots
-    in index order, then the other positive roots in stored order, then the
-    negatives of all of these, and keeps the first whose form value with every
-    root placed so far is the prescribed entry.
+    neighbours, taken in index order).  Vertex 0 gets the simple root e_0: the
+    Weyl group is transitive on the roots of a simply-laced type, so any
+    realization can be moved to one that starts there.  Every other vertex
+    tries the simple roots in index order, then the other positive roots in
+    stored order, then the negatives of all of these, and keeps the first whose
+    form value with every root placed so far is the prescribed entry.
 
     Candidates are root handles, so every test is a form-table lookup: the
     candidates come from the table as the roots with the prescribed value
-    against the breadth-first parent (RootSystem.with_form_value, in the
-    order above), and each other placed root removes those whose table entry
-    differs.
+    against the breadth-first parent (RootSystem.with_form_value, in the order
+    above), and each other placed root removes those whose table entry differs.
     """
     n = rs.rank
     order, parent = breadth_first([[u for u in range(n) if A[v][u]] for v in range(n)], 0)
     with_form_value = rs.with_form_value
     form_row = rs.form_row
-    # vertex u holds signs[u] * alpha_p for p = ps[u]; rows[u] is alpha_p's form row
-    ps = [0] * n
+    # vertex u holds signs[u] * alpha_p, p = ps[u], form row rows[u]; vertex 0 holds e_0
+    ps = [rs.simple_first[0]] * n
     signs = [1] * n
-    rows: list[tuple[int, ...]] = [()] * n
+    rows = [form_row(ps[0])] * n
 
-    def place(v: int, p: int, s: int) -> None:
-        ps[v], signs[v], rows[v] = p, s, form_row(p)
-
-    def candidates(pos: int):
-        """(p, s) for each root s * alpha_p that fits vertex order[pos], in trial order."""
+    def placing(pos: int):
+        """Place each root s * alpha_p fitting vertex order[pos] in turn, in trial order."""
         v = order[pos]
+        if pos == 0:
+            yield
+            return
         u0 = parent[v]
         a_v = A[v]
         # candidate s * alpha_p fits placed u when row_u[p] * s * s_u == A[v][u],
@@ -413,21 +416,12 @@ def _gram_realization(rs: RootSystem, A) -> tuple[int, ...] | None:
             for row in zeros:
                 found = [p for p in found if not row[p]]
             for p in found:
-                yield p, s
+                ps[v], signs[v], rows[v] = p, s, form_row(p)
+                yield
 
-    place(0, rs.simple_first[0], 1)
-    # trials[i] yields the untried candidates for order[i + 1]; the last, for n, never runs
-    trials = [candidates(1)]
-    while len(trials) < n:
-        trial = next(trials[-1], None)
-        if trial is not None:
-            place(order[len(trials)], *trial)
-            trials.append(candidates(len(trials) + 1))
-        else:
-            trials.pop()
-            if not trials:
-                return None
-    return tuple(p if s > 0 else ~p for p, s in zip(ps, signs))
+    for _ in placements(n, placing):
+        return tuple(p if s > 0 else ~p for p, s in zip(ps, signs))
+    return None
 
 
 def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:

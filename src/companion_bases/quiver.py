@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import prod
 
 from .intlinalg import InconsistentSystemError, gf2_solve, positive_definite_det
 
 # bench/test_bench.py checks that tracing wraps det_bareiss here too
 from .intlinalg import det_bareiss  # noqa: F401
-from .root_system import DynkinType, neighbour_sets
+from .root_system import DynkinType, breadth_first, neighbour_sets
 
 SymMatrix = tuple[tuple[int, ...], ...]
 
@@ -26,7 +27,7 @@ NO_POSITIVE_COMPANION = "no positive quasi-Cartan companion"
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Immutable skew-symmetric matrix of plain integers (not floats or bools)."""
+    """Immutable skew-symmetric matrix of entries of type int exactly (no bools)."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -34,7 +35,7 @@ class ExchangeMatrix:
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("matrix is not square")
-        if not all(all(map(_is_int, row)) for row in self.entries):
+        if not set(map(type, chain.from_iterable(self.entries))) <= {int}:
             raise ValueError("matrix entries must be integers")
         for x in range(n):
             if self.entries[x][x] != 0:
@@ -137,19 +138,6 @@ def mutate_sequence(B: ExchangeMatrix, ks) -> ExchangeMatrix:
     for k in ks:
         B = mutate(B, k)
     return B
-
-
-def breadth_first(neighbours, root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first order from root, neighbours in index order, and the parents."""
-    parent = [-1] * len(neighbours)
-    parent[root] = root
-    order = [root]
-    for v in order:
-        for u in sorted(neighbours[v]):
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
-    return order, parent
 
 
 def is_connected(B: ExchangeMatrix) -> bool:

@@ -8,6 +8,7 @@ the Cartan matrix, normalised so every root has squared length 2.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +18,6 @@ from .intlinalg import inverse_unimodular
 from .intlinalg import det_bareiss  # noqa: F401
 
 Root = tuple[int, ...]
-WeylWord = tuple[Root, ...]
 
 POSITIVE_ROOT = "positive_root"
 NEGATIVE_ROOT = "negative_root"
@@ -102,9 +102,9 @@ class RootSystem:
     """The roots of one simply-laced Dynkin type, in simple-root coordinates.
 
     Positive roots are generated once, height by height from the simple
-    roots: alpha + e_i is a root exactly when (alpha, e_i) = -1, a test that
-    reads only alpha's neighbours on the diagram.  They are kept in a fixed
-    order: graded by coordinate sum, ties broken lexicographically.
+    roots: alpha + e_i is a root exactly when (alpha, e_i) = -1, entry i of
+    C alpha (`_image`, read off the diagram's neighbour sets).  They are kept
+    in a fixed order: graded by coordinate sum, ties broken lexicographically.
     `positive_parents[p]` is (q, i) when positive root p is positive root q
     plus e_i, and (-1, i) when p is e_i itself; parents precede children.
 
@@ -116,18 +116,17 @@ class RootSystem:
     `simple_first` lists the positive handles with the simple roots first,
     in index order, then the other positive roots in stored order;
     `with_form_value(p, w)` lists those with form value w against root p.
-    `reflect_handle` reflects handles through a memoized row per positive mirror.
+    `reflect_handle` reflects handles through a memoized int array per positive mirror.
     """
 
     def __init__(self, dynkin: DynkinType):
         self.dynkin = dynkin
         self.cartan = dynkin.cartan_matrix()
-        self._edges = dynkin.edges()
+        self._neighbours = dynkin.adjacency()
         n = dynkin.rank
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        neighbours = dynkin.adjacency()
         roots: list[Root] = []
         parents: list[tuple[int, int]] = []
         layer = {e: (-1, i) for i, e in enumerate(self.simple_roots)}
@@ -141,9 +140,8 @@ class RootSystem:
             layer = {}
             for p in range(start, len(roots)):
                 alpha = roots[p]
-                for i in range(n):
-                    # (alpha, e_i) = 2 alpha_i - sum of alpha over i's neighbours
-                    if 2 * alpha[i] - sum(alpha[j] for j in neighbours[i]) == -1:
+                for i, value in enumerate(self._image(alpha)):
+                    if value == -1:
                         child = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
                         layer.setdefault(child, (p, i))
         self.positive_roots: tuple[Root, ...] = tuple(roots)
@@ -154,21 +152,24 @@ class RootSystem:
             index[e] for e in self.simple_roots
         ) + tuple(range(n, len(roots)))
         self._form_rows: list[tuple[int, ...] | None] = [None] * len(roots)
-        self._reflection_rows: list[tuple[int, ...] | None] = [None] * len(roots)
+        self._reflection_rows: list[array | None] = [None] * len(roots)
         self._levels: list[dict[int, tuple[int, ...]] | None] = [None] * len(roots)
 
     @property
     def rank(self) -> int:
         return self.dynkin.rank
 
+    def _image(self, alpha) -> list[int]:
+        """C alpha: entry i is (alpha, e_i), 2 alpha_i minus alpha over i's neighbours."""
+        return [
+            2 * a - sum([alpha[j] for j in ns]) for a, ns in zip(alpha, self._neighbours)
+        ]
+
     def inner(self, a, b) -> int:
         """Bilinear form a . cartan . b; equals 2 on every root."""
         if len(a) != self.rank or len(b) != self.rank:
             raise ValueError("dimension mismatch")
-        total = 2 * sum(x * y for x, y in zip(a, b))
-        for i, j in self._edges:
-            total -= a[i] * b[j] + a[j] * b[i]
-        return total
+        return sum(x * y for x, y in zip(a, self._image(b)))
 
     def locate(self, v) -> int:
         """Handle of a root: p for positive root p, ~p for its negative.
@@ -201,8 +202,7 @@ class RootSystem:
         """
         row = self._form_rows[p]
         if row is None:
-            alpha = self.positive_roots[p]
-            image = [sum(c * a for c, a in zip(crow, alpha)) for crow in self.cartan]
+            image = self._image(self.positive_roots[p])
             values: list[int] = []
             for parent, i in self.positive_parents:
                 values.append(image[i] if parent < 0 else values[parent] + image[i])
@@ -233,16 +233,16 @@ class RootSystem:
 
         s_-m = s_m and s_m(-alpha) = -s_m(alpha), so one row per positive mirror
         p serves: entry q is the handle of alpha_q - (alpha_q, alpha_p) alpha_p,
-        computed on first use and memoized like form_row.
+        computed on first use and memoized like form_row, as an int array.
         """
         p = m if m >= 0 else ~m
         row = self._reflection_rows[p]
         if row is None:
             mirror = self.positive_roots[p]
-            row = self._reflection_rows[p] = tuple(
+            row = self._reflection_rows[p] = array("i", [
                 self.locate([a - c * b for a, b in zip(alpha, mirror)]) if c else q
                 for q, (alpha, c) in enumerate(zip(self.positive_roots, self.form_row(p)))
-            )
+            ])
         return row[h] if h >= 0 else ~row[~h]
 
     def is_root(self, v) -> bool:
@@ -283,55 +283,72 @@ def neighbour_sets(n: int, edges) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, adjacency))
 
 
-def graph_isomorphisms(source, target):
-    """Every bijection v -> image[v] that maps source's edges onto target's.
+def breadth_first(neighbours, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from root, neighbours in index order, and the parents."""
+    parent = [-1] * len(neighbours)
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for u in sorted(neighbours[v]):
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
-    Both graphs are lists of neighbour sets on vertices 0..n-1.  The
-    bijections are generated as tuples in lexicographic order: vertex 0 first,
-    each vertex trying the unused targets of its degree in index order.
-    Backtracks on the partial image itself, so no recursion limit bounds n.
+
+def placements(n: int, placing):
+    """Backtracking over positions 0..n-1 on an explicit stack of generators.
+
+    placing(pos) records in turn each trial for position pos that fits 0..pos-1,
+    yielding after each.  Yields whenever all n positions hold a trial.
+    """
+    trials = [placing(0)]
+    while trials:
+        for _ in trials[-1]:
+            if len(trials) < n:
+                trials.append(placing(len(trials)))
+                break
+            yield
+        else:
+            trials.pop()
+
+
+def graph_isomorphisms(source, target):
+    """Every bijection v -> image[v] that maps source's edges onto target's, sorted.
+
+    Both graphs are lists of neighbour sets on vertices 0..n-1; source must be
+    connected.  Vertices are placed breadth-first from vertex 0, as roots are
+    in _gram_realization: vertex 0 tries every target, each later vertex the
+    neighbours of its parent's image in index order, keeping a new target of
+    its degree whose adjacency to every placed vertex matches.
     """
     n = len(source)
-    image: list[int] = []
-    used = [False] * n
+    if n == 0:
+        yield ()
+        return
+    order, parent = breadth_first(source, 0)
+    if len(order) < n:
+        raise ValueError("source graph is not connected")
+    image = [-1] * n
 
-    def fits(pos: int, cand: int) -> bool:
-        return (
-            not used[cand]
-            and len(target[cand]) == len(source[pos])
-            and all(
-                (prev in source[pos]) == (image[prev] in target[cand])
-                for prev in range(pos)
-            )
-        )
+    def placing(pos: int):
+        v = order[pos]
+        s_v, placed = source[v], order[:pos]
+        for c in sorted(target[image[parent[v]]]) if pos else range(n):
+            t_c = target[c]
+            if len(t_c) == len(s_v) and all(
+                image[u] != c and (u in s_v) == (image[u] in t_c) for u in placed
+            ):
+                image[v] = c
+                yield
 
-    start = 0  # the first target still to try for vertex len(image)
-    while True:
-        pos = len(image)
-        if pos == n:
-            yield tuple(image)
-            cand = n
-        else:
-            cand = next((c for c in range(start, n) if fits(pos, c)), n)
-        if cand < n:
-            image.append(cand)
-            used[cand] = True
-            start = 0
-        elif not image:
-            return
-        else:
-            last = image.pop()
-            used[last] = False
-            start = last + 1
+    yield from sorted(tuple(image) for _ in placements(n, placing))
 
 
 def diagram_automorphisms(dynkin: DynkinType) -> list[tuple[int, ...]]:
-    """All permutations of the simple-root indices preserving the Cartan matrix.
-
-    Returned sorted, so the identity comes first.
-    """
+    """Every permutation of the simple-root indices preserving the Cartan matrix, sorted."""
     adjacency = dynkin.adjacency()
-    return sorted(graph_isomorphisms(adjacency, adjacency))
+    return list(graph_isomorphisms(adjacency, adjacency))
 
 
 def apply_automorphism(perm, v) -> Root:

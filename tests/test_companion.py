@@ -213,6 +213,20 @@ def test_transform_with_automorphism(pendant_basis, pendant_quiver):
             assert d_vector_set(out) == d_vector_set(pendant_basis)
 
 
+def test_transform_rejects_a_perm_that_is_not_a_diagram_automorphism():
+    rs = build_root_system(DynkinType("A", 3))
+    psi = CompanionBasis(rs, rs.simple_roots)
+    # (1, 0, 2) sends every simple root to a root but breaks the Gram matrix
+    for perm in [(1, 0, 2), (0, 2, 1), (0, 0, 1), (0, 1), (0, 1, 2, 2)]:
+        message = f"^{re.escape(str(perm))} is not a diagram automorphism of A3$"
+        with pytest.raises(ValueError, match=message):
+            transform(psi, perm=perm)
+    with pytest.raises(ValueError, match=r"^\(1, 0, 2\) is not a diagram automorphism"):
+        transform(psi, word=(rs.simple_roots[0],), perm=[1, 0, 2])
+    for perm in [(0, 1, 2), (2, 1, 0), [2, 1, 0]]:
+        assert transform(psi, perm=perm).gram() == psi.gram()
+
+
 def test_mutate_inward_two_vertex_example():
     psi2, B2 = mutate_inward(PI_A2, B_A2, 1)
     assert psi2.gamma == ((1, 1), (0, 1))

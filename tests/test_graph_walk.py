@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from companion_bases import quiver
+from companion_bases import quiver, root_system
 from companion_bases.companion import companion_basis_for, initial_companion_basis
 from companion_bases.quiver import (
     ExchangeMatrix,
@@ -22,6 +22,7 @@ from companion_bases.quiver import (
     is_connected,
     mutate_sequence,
 )
+from companion_bases.root_system import DynkinType
 from companion_bases.type_a import (
     enumerate_strings,
     enumerate_triangulations,
@@ -122,6 +123,13 @@ def test_breadth_first_order_and_parents():
     two_parts = ExchangeMatrix.from_arrows(4, [(0, 1), (2, 3)]).neighbours
     assert breadth_first(two_parts, 0) == ([0, 1], [0, 0, -1, -1])
     assert not is_connected(ExchangeMatrix.from_arrows(4, [(0, 1), (2, 3)]))
+
+
+def test_breadth_first_lives_beside_the_neighbour_sets():
+    # the realization order, is_connected and the isomorphism search share it
+    assert quiver.breadth_first is root_system.breadth_first
+    path = DynkinType("A", 4).adjacency()
+    assert root_system.breadth_first(path, 2) == ([2, 1, 3, 0], [1, 2, 2, 2])
 
 
 def count_neighbour_builds(monkeypatch):

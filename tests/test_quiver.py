@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 from fractions import Fraction
@@ -67,6 +68,20 @@ def test_entries_that_are_not_plain_integers_are_rejected(rows):
         ExchangeMatrix.from_rows(rows)
     with pytest.raises(ValueError, match="^matrix entries must be integers$"):
         ExchangeMatrix(tuple(map(tuple, rows)))
+
+
+def test_int_subclasses_other_than_bool_are_rejected_too():
+    class Tagged(int):
+        pass
+
+    Colour = enum.IntEnum("Colour", "RED")
+    for entry in (Tagged(1), Colour.RED):
+        with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+            ExchangeMatrix(((0, entry), (-1, 0)))
+        with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+            ExchangeMatrix.from_rows([[0, entry], [-1, 0]])
+    assert ExchangeMatrix(((0, 1), (-1, 0))).entries == ((0, 1), (-1, 0))
+    assert ExchangeMatrix(()).n == 0
 
 
 def test_arrows_roundtrip():

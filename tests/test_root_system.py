@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,16 +25,26 @@ A3 = build_root_system(DynkinType("A", 3))
 A4 = build_root_system(DynkinType("A", 4))
 
 
+def dense_image(cartan, b):
+    """C b from the dense Cartan matrix, independent of RootSystem's neighbour sets."""
+    return [sum(c * y for c, y in zip(row, b)) for row in cartan]
+
+
+def dense_form(cartan, a, b):
+    """sum of a_i C_ij b_j over every entry of the dense Cartan matrix."""
+    return sum(x * y for x, y in zip(a, dense_image(cartan, b)))
+
+
 def norm2_box_oracle(dynkin, bound):
     """All positive-coordinate vectors of squared length 2 in a box.
 
     In the simply-laced lattices these are exactly the positive roots.
     """
-    rs = build_root_system(dynkin)
+    cartan = dynkin.cartan_matrix()
     n = dynkin.rank
     out = set()
     for v in itertools.product(range(0, bound + 1), repeat=n):
-        if any(v) and rs.inner(v, v) == 2:
+        if any(v) and dense_form(cartan, v, v) == 2:
             out.add(v)
     return out
 
@@ -190,6 +201,7 @@ def test_reflection_rows_fill_lazily_one_per_positive_mirror():
     rs.reflect_handle(~3, 7)
     assert [p for p, row in enumerate(rs._reflection_rows) if row is not None] == [7]
     assert all(type(h) is int for h in rs._reflection_rows[7])
+    assert type(rs._reflection_rows[7]) is array and rs._reflection_rows[7].typecode == "i"
 
 
 def all_roots(rs):
@@ -308,6 +320,50 @@ def test_isomorphisms_of_unequal_and_empty_graphs():
     assert list(graph_isomorphisms((), ())) == [()]
 
 
+def test_isomorphism_search_needs_a_connected_source():
+    two_parts = neighbour_sets(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="^source graph is not connected$"):
+        list(graph_isomorphisms(two_parts, two_parts))
+    with pytest.raises(ValueError, match="^source graph is not connected$"):
+        list(graph_isomorphisms(neighbour_sets(2, []), DynkinType("A", 2).adjacency()))
+    assert list(graph_isomorphisms((), ())) == [()]
+    assert list(graph_isomorphisms((frozenset(),), (frozenset(),))) == [(0,)]
+
+
+class CountingGraph(tuple):
+    """Neighbour sets that count their lookups, one per candidate the search checks."""
+
+    def __new__(cls, neighbours):
+        graph = super().__new__(cls, neighbours)
+        graph.lookups = 0
+        return graph
+
+    def __getitem__(self, v):
+        self.lookups += 1
+        return super().__getitem__(v)
+
+
+@pytest.mark.parametrize("label", ["A60", "D60"])
+def test_isomorphism_search_on_relabelled_trees_checks_quadratically_many_candidates(label):
+    # trying every target for every vertex in index order made this exponential
+    dynkin = DynkinType.parse(label)
+    n = dynkin.rank
+    rng = random.Random(f"relabelled:{label}")
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        source = neighbour_sets(n, [(perm[i], perm[j]) for i, j in dynkin.edges()])
+        target = CountingGraph(dynkin.adjacency())
+        found = list(graph_isomorphisms(source, target))
+        assert target.lookups <= 6 * n * n
+        # source vertex perm[i] is target vertex i, up to a diagram automorphism
+        inverse = sorted(range(n), key=perm.__getitem__)
+        assert found == sorted(
+            tuple(a[i] for i in inverse) for a in diagram_automorphisms(dynkin)
+        )
+        assert len(found) == 2
+
+
 @pytest.mark.parametrize("label", ["A4", "D4", "E6"])
 def test_automorphisms_preserve_form_and_roots(label):
     rs = build_root_system(DynkinType.parse(label))
@@ -378,17 +434,36 @@ def signed(rs, h):
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_form_table_matches_inner_on_every_pair_of_roots(label):
-    rs = RootSystem(DynkinType.parse(label))
+    # form, form_row and inner all read RootSystem._image, so each is checked
+    # against sum a_i C_ij b_j from the dense Cartan matrix instead
+    dynkin = DynkinType.parse(label)
+    rs = RootSystem(dynkin)
+    cartan = dynkin.cartan_matrix()
     count = len(rs.positive_roots)
     handles = list(range(count)) + [~p for p in range(count)]
+    roots = {h: signed(rs, h) for h in handles}
+    images = {h: dense_image(cartan, roots[h]) for h in handles}
     for h in handles:
-        a = signed(rs, h)
+        a = roots[h]
         for k in handles:
-            assert rs.form(h, k) == rs.inner(a, signed(rs, k))
+            value = sum(x * y for x, y in zip(a, images[k]))
+            assert rs.form(h, k) == value
+            assert rs.inner(a, roots[k]) == value
     for p in range(count):
         assert rs.form_row(p) == tuple(
-            rs.inner(rs.positive_roots[p], beta) for beta in rs.positive_roots
+            sum(x * y for x, y in zip(roots[p], images[q])) for q in range(count)
         )
+
+
+def test_inner_takes_any_integer_vectors():
+    for label in ["A3", "D5", "E7"]:
+        dynkin = DynkinType.parse(label)
+        rs = build_root_system(dynkin)
+        rng = random.Random(f"inner:{label}")
+        for _ in range(50):
+            a = [rng.randint(-5, 5) for _ in range(rs.rank)]
+            b = [rng.randint(-5, 5) for _ in range(rs.rank)]
+            assert rs.inner(a, b) == dense_form(dynkin.cartan_matrix(), a, b)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
