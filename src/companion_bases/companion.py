@@ -58,9 +58,14 @@ class CompanionBasis:
     coordinate tuples, from them.  The constructor locates the vectors it is
     given; library code builds bases from handles with `_from_ids`.  `_checked`
     is the ExchangeMatrix the basis last passed companion_basis_failure against.
+
+    `_unimodular` records that the basis is known to be a Z-basis without an
+    elimination.  `_set` resets it, so every constructor yields an unflagged
+    basis; only _mutate_basis sets it, on a basis it derived by elementary
+    column operations from one that had passed its check.
     """
 
-    __slots__ = ("rs", "gamma", "ids", "_inverse", "_checked")
+    __slots__ = ("rs", "gamma", "ids", "_inverse", "_checked", "_unimodular")
 
     def __init__(self, rs: RootSystem, gamma):
         gamma = [tuple(g) for g in gamma]
@@ -78,6 +83,7 @@ class CompanionBasis:
     def _set(self, rs: RootSystem, ids: tuple[int, ...]) -> None:
         self.rs, self.ids, self.gamma = rs, ids, tuple(map(rs.root, ids))
         self._inverse = self._checked = None
+        self._unimodular = False
 
     def __eq__(self, other):
         return (
@@ -98,6 +104,13 @@ class CompanionBasis:
         return self._inverse
 
     def is_z_basis(self) -> bool:
+        """Whether det of the basis matrix is +-1.
+
+        True at once for a basis made by _mutate_basis, whose determinant
+        follows from its input's; any other basis runs one elimination.
+        """
+        if self._unimodular:
+            return True
         # the rows of gamma are the columns of the basis matrix; det M^T = det M
         return det_bareiss(self.gamma) in (1, -1)
 
@@ -128,7 +141,9 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
     per (basis, matrix) pair: a pass is remembered on psi, and a later call
     with the same B object (by identity, not equality) returns None at once.
     Both are immutable, so the remembered pass stays exact.  Any other B is
-    checked in full, and a failure is never remembered.
+    checked in full, and a failure is never remembered.  The determinant of a
+    basis made by mutate_inward or mutate_outward is derived, not recomputed
+    (see CompanionBasis.is_z_basis); the pair scan always runs.
     """
     if psi._checked is B:
         return None
@@ -231,6 +246,10 @@ def _mutate_basis(
     Checks that k is a vertex and psi a companion basis for B, then reflects
     in gamma_k the elements at the tails of arrows into k (inward) or at the
     heads of arrows out of k (outward), on their handles.
+
+    Each reflection gamma_x - (gamma_x, gamma_k) gamma_k with x != k is an
+    elementary column operation, so the result keeps psi's determinant +-1
+    and is flagged unimodular.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"vertex {k} out of range for n={B.n}")
@@ -242,7 +261,9 @@ def _mutate_basis(
     # entry x is positive when x is a tail (inward) or a head (outward)
     arrows = [row[k] for row in B.entries] if inward else B.entries[k]
     ids = tuple(rs.reflect_handle(h, h_k) if b > 0 else h for h, b in zip(psi.ids, arrows))
-    return CompanionBasis._from_ids(rs, ids), mutate(B, k)
+    mutated = CompanionBasis._from_ids(rs, ids)
+    mutated._unimodular = True
+    return mutated, mutate(B, k)
 
 
 class DVectorSet:

@@ -17,7 +17,7 @@ from .intlinalg import InconsistentSystemError, gf2_solve, positive_definite_det
 
 # bench/test_bench.py checks that tracing wraps det_bareiss here too
 from .intlinalg import det_bareiss  # noqa: F401
-from .root_system import DynkinType, breadth_first, neighbour_sets
+from .root_system import MAX_RANK, DynkinType, breadth_first, neighbour_sets
 
 SymMatrix = tuple[tuple[int, ...], ...]
 
@@ -169,22 +169,34 @@ def induced_paths(neighbours, start: int, floor: int):
             on_path.remove(path.pop())
 
 
-def chordless_cycles(B: ExchangeMatrix) -> list[tuple[int, ...]]:
+def chordless_cycles(
+    B: ExchangeMatrix, *, oriented: bool = False
+) -> list[tuple[int, ...]] | None:
     """Induced cycles of the underlying graph, each in canonical rotation.
 
     Canonical rotation: smallest vertex first, then its smaller neighbour.
     Each is an induced path from its smallest vertex v closed by a vertex w
     adjacent to v and the path's end only (w > path[1] keeps one direction).
+    Sorted by length, then lexicographically.
+
+    With oriented=True each cycle is checked with is_cyclically_oriented as
+    the walk finds it, and the result is None at the first that is not: a
+    quiver can have exponentially many cycles, and one suffices to fail.
     """
     adj = B.neighbours
-    cycles = [
+    walk = (
         path + (w,)
         for v in range(B.n)
         for path in induced_paths(adj, v, v)
         if len(path) > 1
         for w in adj[v] & adj[path[-1]]
         if w > path[1] and adj[w].isdisjoint(path[1:-1])
-    ]
+    )
+    cycles = []
+    for cycle in walk:
+        if oriented and not is_cyclically_oriented(B, cycle):
+            return None
+        cycles.append(cycle)
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
@@ -309,13 +321,13 @@ def _companion_or_failure(
 ) -> tuple[SymMatrix | None, int, str | None]:
     """(canonical companion A, det A, None) for finite type, else (None, 0, reason).
 
-    Finds the chordless cycles once and reuses them for the companion; the
-    positivity check yields det A as its last leading minor.
+    Finds the chordless cycles once, stopping at the first that is not
+    cyclically oriented, and reuses them for the companion; the positivity
+    check yields det A as its last leading minor.
     """
-    cycles = chordless_cycles(B)
-    for cycle in cycles:
-        if not is_cyclically_oriented(B, cycle):
-            return None, 0, CYCLE_NOT_ORIENTED
+    cycles = chordless_cycles(B, oriented=True)
+    if cycles is None:
+        return None, 0, CYCLE_NOT_ORIENTED
     A = _signed_companion(B, cycles)
     det = positive_definite_det(A)
     if det == 0:
@@ -422,6 +434,8 @@ def exchange_matrix_from_data(data) -> ExchangeMatrix:
     n = data["n"]
     if not _is_int(n) or n < 1:
         raise ValueError("'n' must be a positive integer")
+    if n > MAX_RANK:
+        raise ValueError(f"'n' is {n}, above the cap of {MAX_RANK} vertices")
     if "b" in data:
         return ExchangeMatrix(int_rows(data["b"], n, n, "b"))
     if "arrows" in data:

@@ -31,6 +31,17 @@ def dynkin_orientation(label: str) -> ExchangeMatrix:
     return ExchangeMatrix.from_arrows(dt.rank, dt.edges())
 
 
+def grid_quiver(side: int) -> ExchangeMatrix:
+    """The side x side grid, vertex side * row + column, arrows right and down.
+
+    Not of finite type, with exponentially many chordless cycles: 65,772 at
+    side 7.
+    """
+    arrows = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    arrows += [(v, v + side) for v in range(side * (side - 1))]
+    return ExchangeMatrix.from_arrows(side * side, arrows)
+
+
 @pytest.fixture
 def pendant_quiver() -> ExchangeMatrix:
     return ExchangeMatrix.from_arrows(4, PENDANT_ARROWS)

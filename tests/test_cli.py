@@ -11,9 +11,10 @@ import pytest
 from companion_bases import cli, quiver, type_a
 from companion_bases.cli import main
 from companion_bases.companion import loads_companion_basis, is_companion_basis
-from companion_bases.quiver import loads_exchange_matrix
+from companion_bases.quiver import dumps_exchange_matrix, loads_exchange_matrix
+from companion_bases.root_system import MAX_RANK
 
-from conftest import PENDANT_ARROWS, PENDANT_DVECTORS
+from conftest import PENDANT_ARROWS, PENDANT_DVECTORS, grid_quiver
 
 PENDANT_JSON = json.dumps({"n": 4, "arrows": [list(a) for a in PENDANT_ARROWS]})
 
@@ -374,9 +375,9 @@ def test_recognize_finds_the_chordless_cycles_once(capsys, monkeypatch):
     calls = []
     original = quiver.chordless_cycles
 
-    def counting(B):
+    def counting(B, **options):
         calls.append(B)
-        return original(B)
+        return original(B, **options)
 
     monkeypatch.setattr(quiver, "chordless_cycles", counting)
     assert run(["recognize", "--type", "E8"]) == 0
@@ -554,6 +555,36 @@ def test_verify_type_a_reads_padded_and_negative_seeds(capsys):
     assert run(["verify-type-a", "--n", " 2 ", "--mode", "sample", "--seed", "-3"]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (summary["n"], summary["seed"], summary["total"]) == (2, -3, 50)
+
+
+@pytest.mark.parametrize("n", [MAX_RANK + 1, 10**12])
+def test_inputs_above_the_rank_cap_are_malformed(tmp_path, capsys, n):
+    quiver_message = f"'n' is {n}, above the cap of {MAX_RANK} vertices"
+    rank_message = f"rank {n} is above the cap of {MAX_RANK}"
+    src = tmp_path / "quiver.json"
+    for command in ("mutate", "recognize", "companion"):
+        src.write_text(json.dumps({"n": n, "arrows": []}))
+        extra = ["--k", "0"] if command == "mutate" else []
+        assert run([command, "--input", src, *extra]) == 2
+        assert_one_error_line(capsys, quiver_message)
+        assert run([command, "--type", f"A{n}", *extra]) == 2
+        assert_one_error_line(capsys, rank_message)
+    for document, message in [
+        ({"type": f"A{n}", "quiver": {"n": 2, "b": []}, "gamma": []}, rank_message),
+        ({"type": "A2", "quiver": {"n": n, "b": []}, "gamma": []}, quiver_message),
+    ]:
+        src.write_text(json.dumps(document))
+        assert run(["dvectors", "--input", src]) == 2
+        assert_one_error_line(capsys, message)
+
+
+def test_recognize_on_the_grid_reports_the_unoriented_cycle(tmp_path, capsys):
+    src = tmp_path / "grid.json"
+    src.write_text(dumps_exchange_matrix(grid_quiver(7)))
+    assert run(["recognize", "--input", src]) == 0
+    assert capsys.readouterr().out == (
+        '{"failing_condition":"chordless cycle not cyclically oriented","finite_type":false}\n'
+    )
 
 
 @pytest.mark.parametrize("label", ["A١", "A²", "A 3", "A+3", "A3_0", "Ａ3"])

@@ -788,13 +788,14 @@ def test_a_walk_eliminates_once_per_new_basis(label, monkeypatch):
         op = mutate_inward if rng.random() < 0.5 else mutate_outward
         psi, B = op(psi, B, k)
         assert companion_basis_failure(psi, B) is None
-    # the start basis once, then each step's output once; the next step's
-    # check of that same (basis, matrix) pair eliminates nothing
-    assert len(calls) == steps + 1
+    # the start basis once; each step's output derives its determinant, and
+    # the next step's check of that same (basis, matrix) pair is remembered
+    assert len(calls) == 1
 
 
 def test_a_pass_is_remembered_for_the_same_matrix_object_only(monkeypatch):
     psi, B = random_walk_basis("E8", 30, "memo-copy")
+    psi = CompanionBasis(psi.rs, psi.gamma)
     calls = count_eliminations(monkeypatch)
     assert companion_basis_failure(psi, B) is None
     assert companion_basis_failure(psi, B) is None
@@ -807,6 +808,7 @@ def test_a_pass_is_remembered_for_the_same_matrix_object_only(monkeypatch):
 
 def test_a_remembered_pass_does_not_cover_a_mutated_matrix(monkeypatch):
     psi, B = random_walk_basis("D8", 30, "memo-mutated")
+    psi = CompanionBasis(psi.rs, psi.gamma)
     assert companion_basis_failure(psi, B) is None
     calls = count_eliminations(monkeypatch)
     mismatches = 0
@@ -821,6 +823,7 @@ def test_a_remembered_pass_does_not_cover_a_mutated_matrix(monkeypatch):
 
 def test_a_failure_is_never_remembered(monkeypatch):
     psi, B = random_walk_basis("E7", 30, "memo-failure")
+    psi = CompanionBasis(psi.rs, psi.gamma)
     rows = [list(row) for row in B.entries]
     rows[0][3], rows[3][0] = 2, -2
     repeated = CompanionBasis(psi.rs, [psi.gamma[0]] + list(psi.gamma[:-1]))
@@ -833,6 +836,68 @@ def test_a_failure_is_never_remembered(monkeypatch):
         assert companion_basis_failure(bad_psi, bad_B) == reason
         assert companion_basis_failure(bad_psi, bad_B) == reason
         assert len(calls) == before + 2
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_every_walked_basis_has_determinant_plus_or_minus_one(label, monkeypatch):
+    rng = random.Random(f"derived-det:{label}")
+    B = dynkin_orientation(label)
+    psi = initial_companion_basis(B)
+    calls = count_eliminations(monkeypatch)
+    for _ in range(40):
+        k = rng.randrange(B.n)
+        op = mutate_inward if rng.random() < 0.5 else mutate_outward
+        psi, B = op(psi, B, k)
+        # intlinalg's det_bareiss, not the counted one inside companion
+        assert det_bareiss(basis_columns(psi.gamma)) in (1, -1)
+        assert psi.is_z_basis()
+        assert companion_basis_failure(psi, B) is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label", ["A8", "D8", "E8"])
+def test_bases_rebuilt_from_a_walked_basis_eliminate_once(label, monkeypatch):
+    psi, B = random_walk_basis(label, 30, f"rebuilt:{label}")
+    rs = psi.rs
+    assert companion_basis_failure(psi, B) is None
+    mirror = rs.positive_roots[len(rs.positive_roots) // 2]
+    rebuilt = [
+        CompanionBasis(rs, psi.gamma),
+        sign_change(psi, [0, B.n - 1]),
+        transform(psi, word=[mirror]),
+        loads_companion_basis(dumps_companion_basis(psi, B))[0],
+    ]
+    calls = count_eliminations(monkeypatch)
+    for copy in rebuilt:
+        before = len(calls)
+        assert companion_basis_failure(copy, B) is None
+        assert companion_basis_failure(copy, B) is None
+        assert len(calls) == before + 1
+    # the walked basis itself derives its determinant against any matrix
+    assert companion_basis_failure(psi, ExchangeMatrix(B.entries)) is None
+    assert len(calls) == len(rebuilt)
+
+
+@pytest.mark.parametrize("label", ["A8", "D8", "E8"])
+def test_a_tampered_copy_of_a_walked_basis_is_eliminated(label, monkeypatch):
+    psi, B = random_walk_basis(label, 30, f"tampered:{label}")
+    repeated = list(psi.gamma)
+    repeated[1] = psi.gamma[0]
+    negated = list(psi.gamma)
+    negated[1] = tuple(-c for c in psi.gamma[0])
+    swapped = list(psi.gamma)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    calls = count_eliminations(monkeypatch)
+    for gamma in (repeated, negated):
+        before = len(calls)
+        assert companion_basis_failure(CompanionBasis(psi.rs, gamma), B) == (
+            "not a Z-basis of the root lattice"
+        )
+        assert len(calls) == before + 1
+    copy = CompanionBasis(psi.rs, swapped)
+    before = len(calls)
+    assert companion_basis_failure(copy, B) == failure_by_inner(copy, B)
+    assert len(calls) == before + 1
 
 
 def mismatch_count(psi, B):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from companion_bases import quiver
 from companion_bases.intlinalg import (
     InconsistentSystemError,
     det_bareiss,
@@ -36,9 +37,9 @@ from companion_bases.quiver import (
     satisfies_cycle_sign_condition,
     simultaneous_sign_change,
 )
-from companion_bases.root_system import DynkinType
+from companion_bases.root_system import MAX_RANK, DynkinType
 
-from conftest import PENDANT_ARROWS, dynkin_orientation
+from conftest import PENDANT_ARROWS, dynkin_orientation, grid_quiver
 
 SQUARE = ExchangeMatrix.from_arrows(4, [(0, 1), (1, 2), (3, 2), (0, 3)])
 
@@ -203,6 +204,42 @@ def test_chordless_cycles_match_subset_oracle():
                     arrows.append((y, x))
         B = ExchangeMatrix.from_arrows(n, arrows)
         assert chordless_cycles(B) == induced_cycle_oracle(B)
+
+
+def test_recognition_stops_at_the_first_cycle_not_cyclically_oriented(monkeypatch):
+    B = grid_quiver(7)
+    checked = []
+    walked = []
+    original_check = quiver.is_cyclically_oriented
+    original_walk = quiver.induced_paths
+
+    def counting_check(B, cycle):
+        checked.append(cycle)
+        return original_check(B, cycle)
+
+    def counting_walk(*args):
+        for path in original_walk(*args):
+            walked.append(path)
+            yield path
+
+    monkeypatch.setattr(quiver, "is_cyclically_oriented", counting_check)
+    monkeypatch.setattr(quiver, "induced_paths", counting_walk)
+    assert recognize(B) == (CYCLE_NOT_ORIENTED, None)
+    assert checked == [(0, 1, 8, 7)]
+    # the walk is abandoned at that cycle; listing all 65,772 cycles of the
+    # grid walks every induced path from every vertex
+    assert len(walked) < B.n
+    assert chordless_cycles(B, oriented=True) is None
+
+
+def test_oriented_cycles_are_the_sorted_cycles_when_all_pass():
+    rng = random.Random(13)
+    for label in ("A6", "D7", "E8"):
+        B = dynkin_orientation(label)
+        for _ in range(30):
+            B = mutate(B, rng.randrange(B.n))
+            assert chordless_cycles(B, oriented=True) == chordless_cycles(B)
+    assert chordless_cycles(SQUARE, oriented=True) is None
 
 
 def test_is_cyclically_oriented():
@@ -399,6 +436,21 @@ def test_serialization():
     ]:
         with pytest.raises(ValueError):
             loads_exchange_matrix(bad)
+
+
+@pytest.mark.parametrize("n", [MAX_RANK + 1, 10**12])
+@pytest.mark.parametrize("field", ['"b": []', '"arrows": []'])
+def test_a_quiver_above_the_cap_is_rejected_on_reading(n, field):
+    with pytest.raises(ValueError, match=rf"^'n' is {n}, above the cap of {MAX_RANK} vertices$"):
+        loads_exchange_matrix(f'{{"n": {n}, {field}}}')
+
+
+@pytest.mark.parametrize("rank", [MAX_RANK + 1, 10**12])
+def test_a_dynkin_rank_above_the_cap_is_rejected_on_parsing(rank):
+    with pytest.raises(ValueError, match=rf"^rank {rank} is above the cap of {MAX_RANK}$"):
+        DynkinType.parse(f"A{rank}")
+    # the constructor does not check the cap
+    assert DynkinType("D", rank).rank == rank
 
 
 def test_empty_quiver_is_rejected_on_reading():
