@@ -150,10 +150,7 @@ def cmd_dvectors(args) -> int:
     if failure is not None:
         raise CommandError(failure, EXIT_SEARCH)
     dset = d_vector_set(psi)
-    rows = sorted(
-        ({"d": list(d), "root": list(dset.root_of(d))} for d in dset.vectors),
-        key=lambda row: row["d"],
-    )
+    rows = [{"d": list(d), "root": list(dset.root_of(d))} for d in dset.sorted_vectors()]
     report = {"type": str(psi.rs.dynkin), "count": len(rows), "vectors": rows}
     _write(args.output, dump_json(report))
     return 0

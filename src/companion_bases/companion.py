@@ -11,6 +11,7 @@ quiver alone.
 from __future__ import annotations
 
 from collections import deque
+from operator import add
 
 from .intlinalg import det_bareiss, mat_vec
 from .quiver import (
@@ -61,8 +62,10 @@ class CompanionBasis:
 
     `_unimodular` records that the basis is known to be a Z-basis without an
     elimination.  `_set` resets it, so every constructor yields an unflagged
-    basis; only _mutate_basis sets it, on a basis it derived by elementary
-    column operations from one that had passed its check.
+    basis.  Only two places set it: _mutate_basis, on a basis it derived by
+    elementary column operations from one that had passed its check, and
+    companion_basis_for, on a basis whose Gram matrix it realized as a
+    positive companion of the recognised type's determinant.
     """
 
     __slots__ = ("rs", "gamma", "ids", "_inverse", "_checked", "_unimodular")
@@ -106,8 +109,9 @@ class CompanionBasis:
     def is_z_basis(self) -> bool:
         """Whether det of the basis matrix is +-1.
 
-        True at once for a basis made by _mutate_basis, whose determinant
-        follows from its input's; any other basis runs one elimination.
+        True at once for a basis made by _mutate_basis or companion_basis_for,
+        whose determinant follows from how it was built; any other basis runs
+        one elimination.
         """
         if self._unimodular:
             return True
@@ -142,8 +146,9 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
     with the same B object (by identity, not equality) returns None at once.
     Both are immutable, so the remembered pass stays exact.  Any other B is
     checked in full, and a failure is never remembered.  The determinant of a
-    basis made by mutate_inward or mutate_outward is derived, not recomputed
-    (see CompanionBasis.is_z_basis); the pair scan always runs.
+    basis made by mutate_inward, mutate_outward or companion_basis_for is
+    derived, not recomputed (see CompanionBasis.is_z_basis); the pair scan
+    always runs.
     """
     if psi._checked is B:
         return None
@@ -308,14 +313,9 @@ def d_vector_set(psi: CompanionBasis) -> DVectorSet:
     columns = list(zip(*psi.inverse()))
     coeffs: list[tuple[int, ...]] = []
     for parent, i in psi.rs.positive_parents:
-        if parent < 0:
-            coeffs.append(columns[i])
-        else:
-            coeffs.append(tuple(a + b for a, b in zip(coeffs[parent], columns[i])))
-    by_root = {
-        alpha: tuple(abs(c) for c in cs)
-        for alpha, cs in zip(psi.rs.positive_roots, coeffs)
-    }
+        column = columns[i]
+        coeffs.append(column if parent < 0 else tuple(map(add, coeffs[parent], column)))
+    by_root = dict(zip(psi.rs.positive_roots, [tuple(map(abs, c)) for c in coeffs]))
     return DVectorSet(by_root)
 
 
@@ -451,7 +451,8 @@ def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
     Realizes the canonical positive companion A of B directly as the Gram
     matrix of n roots.  The Gram matrix of the basis matrix M is M^T C M = A,
     and |det A| = det C for the recognised type, so det M = +-1 and the roots
-    are a Z-basis.  Standard orientations of Dynkin diagrams get exactly the
+    are a Z-basis: the basis is flagged unimodular, and its check runs only
+    the pair scan.  Standard orientations of Dynkin diagrams get exactly the
     simple roots.  Raises ValueError on input that is not connected or not of
     finite type.
     """
@@ -461,6 +462,8 @@ def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
     if ids is None:
         raise MutationSearchError(f"no roots of {dynkin} realize the companion")
     psi = CompanionBasis._from_ids(rs, ids)
+    # Gram = A entry for entry, and the type was chosen with det C = |det A|
+    psi._unimodular = True
     failure = companion_basis_failure(psi, B)
     if failure is not None:
         raise MutationSearchError(f"realized basis is invalid: {failure}")

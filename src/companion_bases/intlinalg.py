@@ -16,30 +16,57 @@ def _bareiss_eliminate(m: list[list[int]], n: int) -> int:
 
     Rows are swapped to find nonzero pivots, and every further column of m is
     carried along.  Returns the determinant of the leading n x n block, or 0
-    as soon as a pivot column has no nonzero entry left.
+    as soon as a pivot column has no nonzero entry left; the rows from that
+    column on are then left at the scale of their last update.
     """
-    width = len(m[0]) if m else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    divisors = [1] * n
+    for k in range(n):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    divisors[k], divisors[i] = divisors[i], divisors[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
+        prev = _bareiss_step(m, k, n, prev, divisors)
+    return sign * prev
+
+
+def _bareiss_step(
+    m: list[list[int]], k: int, n: int, prev: int, divisors: list[int]
+) -> int:
+    """One Bareiss step at pivot row k, a row at a time; returns the pivot.
+
+    Row i's entries are exact once multiplied by prev / divisors[i], where
+    divisors[i] is the pivot of the step that last updated it (1 before any):
+    a row whose column-k entry is 0 is left as it is, since its update would
+    only rescale it.  Row k is brought to scale here, so the pivot is the k-th
+    leading minor (up to row swaps).  Each row below with a nonzero entry
+    head in column k gets (a * pivot - head * b) // divisors[i], b the pivot
+    row's entry: the same exact quotient as rescaling first and dividing by
+    prev (Bareiss).
+    """
+    row_k = m[k]
+    if divisors[k] != prev:
+        d = divisors[k]
+        row_k[k:] = [a * prev // d for a in row_k[k:]]
+    pivot = row_k[k]
+    tail = row_k[k + 1 :]
+    for i in range(k + 1, n):
+        row_i = m[i]
+        head = row_i[k]
+        if head:
+            d = divisors[i]
+            row_i[k + 1 :] = [
+                (a * pivot - head * b) // d for a, b in zip(row_i[k + 1 :], tail)
+            ]
             row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1] if n else 1
+            divisors[i] = pivot
+    return pivot
 
 
 def det_bareiss(rows) -> int:
@@ -62,17 +89,11 @@ def positive_definite_det(rows) -> int:
         raise ValueError("matrix is not square")
     m = [list(r) for r in rows]
     prev = 1
+    divisors = [1] * n
     for k in range(n):
-        pivot = m[k][k]
-        if pivot <= 0:
+        prev = _bareiss_step(m, k, n, prev, divisors)
+        if prev <= 0:
             return 0
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-        prev = pivot
     return prev
 
 

@@ -175,16 +175,28 @@ def chordless_cycles(
     """Induced cycles of the underlying graph, each in canonical rotation.
 
     Canonical rotation: smallest vertex first, then its smaller neighbour.
-    Each is an induced path from its smallest vertex v closed by a vertex w
-    adjacent to v and the path's end only (w > path[1] keeps one direction).
     Sorted by length, then lexicographically.
 
     With oriented=True each cycle is checked with is_cyclically_oriented as
     the walk finds it, and the result is None at the first that is not: a
     quiver can have exponentially many cycles, and one suffices to fail.
     """
+    cycles = []
+    for cycle in _cycle_walk(B):
+        if oriented and not is_cyclically_oriented(B, cycle):
+            return None
+        cycles.append(cycle)
+    return _sorted_cycles(cycles)
+
+
+def _cycle_walk(B: ExchangeMatrix):
+    """Every chordless cycle of B in canonical rotation, lazily, in walk order.
+
+    Each is an induced path from its smallest vertex v closed by a vertex w
+    adjacent to v and the path's end only (w > path[1] keeps one direction).
+    """
     adj = B.neighbours
-    walk = (
+    return (
         path + (w,)
         for v in range(B.n)
         for path in induced_paths(adj, v, v)
@@ -192,11 +204,9 @@ def chordless_cycles(
         for w in adj[v] & adj[path[-1]]
         if w > path[1] and adj[w].isdisjoint(path[1:-1])
     )
-    cycles = []
-    for cycle in walk:
-        if oriented and not is_cyclically_oriented(B, cycle):
-            return None
-        cycles.append(cycle)
+
+
+def _sorted_cycles(cycles) -> list[tuple[int, ...]]:
     return sorted(cycles, key=lambda c: (len(c), c))
 
 
@@ -262,13 +272,15 @@ def canonical_companion(B: ExchangeMatrix) -> SymMatrix:
 
     Signs are one GF(2) variable per underlying edge, one parity equation per
     chordless cycle, solved with free variables negative.  Requires every
-    chordless cycle of B to be cyclically oriented.
+    chordless cycle of B to be cyclically oriented: each is checked as the
+    walk finds it, and the first that is not is named in the ValueError.
     """
-    cycles = chordless_cycles(B)
-    for cycle in cycles:
+    cycles = []
+    for cycle in _cycle_walk(B):
         if not is_cyclically_oriented(B, cycle):
             raise ValueError(f"{CYCLE_NOT_ORIENTED}: {cycle}")
-    return _signed_companion(B, cycles)
+        cycles.append(cycle)
+    return _signed_companion(B, _sorted_cycles(cycles))
 
 
 def _signed_companion(B: ExchangeMatrix, cycles) -> SymMatrix:

@@ -198,9 +198,12 @@ def _walk_from_vertices(B: ExchangeMatrix, vertices) -> StringWalk:
 
 
 def is_string(B: ExchangeMatrix, walk: StringWalk) -> bool:
-    """Valid when the walk's vertices induce a path traversed end to end."""
+    """Valid when the walk's vertices induce a path traversed end to end.
+
+    A walk needs exactly one direction per consecutive pair of vertices.
+    """
     vs = walk.vertices
-    if len(set(vs)) != len(vs) or not vs:
+    if len(set(vs)) != len(vs) or not vs or len(walk.directions) != len(vs) - 1:
         return False
     for i, u in enumerate(vs):
         for j in range(i + 1, len(vs)):
@@ -239,8 +242,10 @@ def string_dim_vector(B: ExchangeMatrix, walk: StringWalk) -> DVector:
     """Dimension vector of the module supported on a string: its 0/1 indicator."""
     if not is_string(B, walk):
         raise ValueError("walk is not a string of this quiver")
-    members = walk.vertex_set()
-    return tuple(1 if x in members else 0 for x in range(B.n))
+    indicator = [0] * B.n
+    for x in walk.vertices:
+        indicator[x] = 1
+    return tuple(indicator)
 
 
 def indecomposable_dim_vectors(B: ExchangeMatrix) -> frozenset[DVector]:

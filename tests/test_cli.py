@@ -26,6 +26,15 @@ PENDANT_BASIS_JSON = json.dumps(
     }
 )
 
+PENDANT_DVECTORS_STDOUT = (
+    '{"count":10,"type":"A4","vectors":['
+    '{"d":[0,0,0,1],"root":[0,0,0,1]},{"d":[0,0,1,0],"root":[0,0,1,0]},'
+    '{"d":[0,0,1,1],"root":[0,0,1,1]},{"d":[0,1,0,0],"root":[0,1,1,0]},'
+    '{"d":[0,1,0,1],"root":[0,1,1,1]},{"d":[0,1,1,0],"root":[0,1,0,0]},'
+    '{"d":[1,0,0,0],"root":[1,0,0,0]},{"d":[1,1,0,0],"root":[1,1,1,0]},'
+    '{"d":[1,1,0,1],"root":[1,1,1,1]},{"d":[1,1,1,0],"root":[1,1,0,0]}]}\n'
+)
+
 
 @pytest.fixture
 def pendant_file(tmp_path):
@@ -146,7 +155,10 @@ def test_dvectors_command(tmp_path, capsys):
     basis = tmp_path / "basis.json"
     basis.write_text(PENDANT_BASIS_JSON)
     assert run(["dvectors", "--input", basis]) == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # byte for byte: rows in sorted d-vector order, canonical JSON
+    assert out == PENDANT_DVECTORS_STDOUT
+    report = json.loads(out)
     assert report["type"] == "A4"
     assert report["count"] == 10
     assert {tuple(row["d"]) for row in report["vectors"]} == PENDANT_DVECTORS

@@ -45,6 +45,7 @@ from companion_bases.root_system import (
 )
 from companion_bases.type_a import (
     enumerate_triangulations,
+    is_strong_companion_basis,
     quiver_from_triangulation,
     random_triangulation,
 )
@@ -852,6 +853,44 @@ def test_every_walked_basis_has_determinant_plus_or_minus_one(label, monkeypatch
         assert det_bareiss(basis_columns(psi.gamma)) in (1, -1)
         assert psi.is_z_basis()
         assert companion_basis_failure(psi, B) is None
+    assert len(calls) == 1
+
+
+def assert_realized_unimodular(B):
+    psi = companion_basis_for(B)
+    # intlinalg's det_bareiss, not the counted one inside companion
+    assert det_bareiss(basis_columns(psi.gamma)) in (1, -1)
+    assert psi.is_z_basis()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_realized_basis_of_a_triangulation_has_determinant_one(n):
+    for T in enumerate_triangulations(n):
+        assert_realized_unimodular(quiver_from_triangulation(T))
+
+
+@pytest.mark.parametrize("label", [label for label in ORACLE_LABELS if label != "A1"])
+def test_every_realized_basis_of_a_mutated_quiver_has_determinant_one(label):
+    for B in mutated_and_relabelled(label, random.Random(f"realized-det:{label}"), 8):
+        assert_realized_unimodular(B)
+
+
+def test_a_realized_basis_is_checked_without_elimination(monkeypatch):
+    rng = random.Random("realized-count")
+    quivers = [quiver_from_triangulation(random_triangulation(n, rng)) for n in (3, 8, 12)]
+    calls = count_eliminations(monkeypatch)
+    for B in quivers:
+        psi = companion_basis_for(B)
+        assert is_strong_companion_basis(psi, B)
+    for label in ("D8", "E8"):
+        for B in mutated_and_relabelled(label, rng, 2):
+            psi = companion_basis_for(B)
+            assert companion_basis_failure(psi, ExchangeMatrix(B.entries)) is None
+    assert calls == []
+    # a copy built from the same roots is not flagged, so it eliminates once
+    copy = CompanionBasis(psi.rs, psi.gamma)
+    assert companion_basis_failure(copy, B) is None
+    assert companion_basis_failure(copy, B) is None
     assert len(calls) == 1
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from companion_bases.intlinalg import (
     InconsistentSystemError,
+    _bareiss_eliminate,
     det_bareiss,
     gf2_solve,
     inverse_unimodular,
     mat_vec,
+    positive_definite_det,
     solve_fractions,
 )
 
@@ -53,6 +56,153 @@ def test_det_edge_cases():
     assert det_bareiss([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
         det_bareiss([[1, 2]])
+
+
+def bareiss_eliminate_by_entry(m, n):
+    """Reference: the per-entry form of _bareiss_eliminate, one entry per step."""
+    width = len(m[0]) if m else 0
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, width):
+                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def random_square(rng, n, density, bound=4):
+    return [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def elimination_cases(seed, count):
+    """(label, matrix, n) triples: the square matrix, then it beside I or a random block."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        rows = random_square(rng, n, rng.choice([0.3, 0.6, 1.0]), rng.choice([1, 4, 30]))
+        kind = rng.choice(["plain", "zero leading", "singular"])
+        if kind == "zero leading":
+            for k in rng.sample(range(n), rng.randint(1, n)):
+                rows[k][k] = 0
+            rows[0][0] = 0
+        elif kind == "singular" and n > 1:
+            a, b = rng.sample(range(n), 2)
+            c = rng.randint(-3, 3)
+            rows[b] = [c * x for x in rows[a]]
+        yield kind, rows, n
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        yield kind, [r + e for r, e in zip(rows, identity)], n
+        yield kind, [r + e for r, e in zip(rows, random_square(rng, n, 0.7))], n
+
+
+def assert_nonzero_multiple(row, reference):
+    nonzero = [j for j, x in enumerate(reference) if x]
+    if not nonzero:
+        assert not any(row)
+        return
+    c = nonzero[0]
+    assert row[c] != 0
+    assert all(x * reference[c] == y * row[c] for x, y in zip(row, reference))
+
+
+def test_row_elimination_matches_the_per_entry_reference():
+    kinds = set()
+    swaps = singular = 0
+    for kind, rows, n in elimination_cases("row-bareiss", 400):
+        expected = [list(r) for r in rows]
+        got = [list(r) for r in rows]
+        det = bareiss_eliminate_by_entry(expected, n)
+        assert _bareiss_eliminate(got, n) == det
+        if det:
+            assert got == expected
+        else:
+            # both stop at the first pivot column k with no nonzero entry
+            # left: the pivot rows agree, and each later row is left at the
+            # scale of its last update, a nonzero multiple of the reference
+            k = next(i for i in range(n) if expected[i][i] == 0)
+            assert got[:k] == expected[:k]
+            for g, e in zip(got[k:], expected[k:]):
+                assert_nonzero_multiple(g, e)
+        kinds.add((kind, len(rows[0]) // n))
+        swaps += rows[0][0] == 0 and det != 0
+        singular += det == 0
+    assert kinds == {(k, w) for k in ("plain", "zero leading", "singular") for w in (1, 2)}
+    assert swaps > 50 and singular > 50
+
+
+def test_row_elimination_leaves_the_inverse_unchanged():
+    rng = random.Random("row-bareiss-inverse")
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        # a product of elementary column operations, so det = +-1
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                c = rng.randint(-2, 2)
+                for row in rows:
+                    row[a] += c * row[b]
+        if rng.random() < 0.5:
+            rows[0] = [-x for x in rows[0]]
+        inverse = inverse_unimodular(rows)
+        assert [list(mat_vec(inverse, col)) for col in zip(*rows)] == [
+            [int(i == j) for j in range(n)] for i in range(n)
+        ]
+
+
+def det_by_leading_minors(rows):
+    """det when every leading principal minor is positive, else 0.
+
+    The minors come from det_bareiss, each checked against rational
+    elimination, so an error in the shared row update cannot cancel out.
+    """
+    n = len(rows)
+    minors = [det_bareiss([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+    assert minors == [det_fraction_oracle([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+    return minors[-1] if all(m > 0 for m in minors) else 0
+
+
+def test_positive_definite_det_matches_leading_minors():
+    rng = random.Random("definite-det")
+    definite = indefinite = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        m = random_square(rng, n, 0.6, rng.choice([1, 3]))
+        kind = rng.randrange(3)
+        if kind == 0:
+            # M^T M + I is positive definite
+            rows = [
+                [sum(a * b for a, b in zip(ci, cj)) + (i == j) for j, cj in enumerate(zip(*m))]
+                for i, ci in enumerate(zip(*m))
+            ]
+        else:
+            rows = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+            for i in range(n):
+                # sparse and diagonally dominant, so definite; or a small diagonal
+                dominant = sum(abs(x) for j, x in enumerate(rows[i]) if j != i) + 1
+                rows[i][i] = dominant if kind == 1 else rng.randint(-1, 3)
+        expected = det_by_leading_minors(rows)
+        assert positive_definite_det(rows) == expected
+        definite += expected > 0
+        indefinite += expected == 0
+    assert definite > 100 and indefinite > 50
 
 
 def test_inverse_unimodular():

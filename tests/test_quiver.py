@@ -1,6 +1,8 @@
+import ast
 import enum
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -308,6 +310,41 @@ def test_canonical_companion_on_cycles():
     )
     assert positives % 2 == 1
     with pytest.raises(ValueError, match=CYCLE_NOT_ORIENTED):
+        canonical_companion(SQUARE)
+
+
+def canonical_companion_by_sorted_cycles(B):
+    """Reference: list and sort every chordless cycle, then check each in order."""
+    cycles = chordless_cycles(B)
+    for cycle in cycles:
+        if not is_cyclically_oriented(B, cycle):
+            raise ValueError(f"{CYCLE_NOT_ORIENTED}: {cycle}")
+    return _signed_companion(B, cycles)
+
+
+def test_canonical_companion_stops_at_the_first_cycle_not_cyclically_oriented():
+    B = grid_quiver(7)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=CYCLE_NOT_ORIENTED) as info:
+        canonical_companion(B)
+    assert time.perf_counter() - start < 1.0
+    named = ast.literal_eval(str(info.value).rpartition(": ")[2])
+    # a chordless cycle of B in canonical rotation, not cyclically oriented
+    edges = {frozenset(e) for e in cycle_edges(named)}
+    for x, y in itertools.combinations(named, 2):
+        assert (B.entries[x][y] != 0) == (frozenset((x, y)) in edges)
+    assert named[0] == min(named) and named[1] < named[-1]
+    assert not is_cyclically_oriented(B, named)
+
+
+def test_canonical_companion_matches_the_sorted_cycle_reference():
+    rng = random.Random(13)
+    for label in ("A6", "D7", "E8"):
+        B = dynkin_orientation(label)
+        for _ in range(30):
+            B = mutate(B, rng.randrange(B.n))
+            assert canonical_companion(B) == canonical_companion_by_sorted_cycles(B)
+    with pytest.raises(ValueError, match=f"{CYCLE_NOT_ORIENTED}: \\(0, 1, 2, 3\\)"):
         canonical_companion(SQUARE)
 
 

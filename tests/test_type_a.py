@@ -192,6 +192,18 @@ def test_string_dim_vector(pendant_basis):
         string_dim_vector(PENDANT, StringWalk((1, 2), (-1,)))  # wrong direction flag
 
 
+def test_a_walk_needs_one_direction_per_step():
+    path = dynkin_orientation("A3")  # 0 -> 1 -> 2
+    assert is_string(path, StringWalk((0, 1, 2), (1, 1)))
+    assert string_dim_vector(path, StringWalk((0, 1, 2), (1, 1))) == (1, 1, 1)
+    for malformed in (StringWalk((0, 1, 2), ()), StringWalk((0,), (1, -1, 1))):
+        assert not is_string(path, malformed)
+        with pytest.raises(ValueError, match="not a string"):
+            string_dim_vector(path, malformed)
+    assert not is_string(path, StringWalk((0, 1, 2), (1,)))
+    assert not is_string(path, StringWalk((1,), (1,)))
+
+
 def interval_indicators(n):
     return frozenset(
         tuple(1 if i <= x <= j else 0 for x in range(n))
