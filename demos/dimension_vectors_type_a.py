@@ -7,6 +7,8 @@ taking absolute coefficients reproduces, exactly, the dimension vectors of the
 indecomposable string modules.
 """
 
+import sys
+
 from companion_bases import (
     CompanionBasis,
     DynkinType,
@@ -56,7 +58,8 @@ def main():
     print()
 
     print("d-vectors equal string dimension vectors:", is_strong_companion_basis(psi, B))
-    assert dset.vectors == indecomposable_dim_vectors(B)
+    if dset.vectors != indecomposable_dim_vectors(B):
+        sys.exit("error: the d-vectors differ from the string dimension vectors")
 
     constructed = companion_basis_for(B)
     print("the basis companion_basis_for constructs gives the same d-vector set:",

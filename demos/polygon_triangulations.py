@@ -7,6 +7,8 @@ dimension vectors.  Also shows the snake identification between diagonals and
 almost positive roots.
 """
 
+import sys
+
 from companion_bases import (
     almost_positive_root_of_diagonal,
     companion_basis_for,
@@ -28,7 +30,8 @@ def main():
     strong = 0
     for T in enumerate_triangulations(4):
         B = quiver_from_triangulation(T)
-        assert dynkin_type_of(B).family == "A"
+        if dynkin_type_of(B).family != "A":
+            sys.exit(f"error: triangulation {T.diagonals} does not give a type-A quiver")
         psi = companion_basis_for(B)
         if is_strong_companion_basis(psi, B):
             strong += 1

@@ -162,7 +162,7 @@ def _verify_one(T: Triangulation) -> dict:
     return {
         "diagonals": [list(d) for d in T.diagonals],
         "quiver": {"n": B.n, "b": [list(row) for row in B.entries]},
-        # the strongness check's enumerate_strings raises unless n(n+1)/2 exist
+        # the strongness check's string walk raises unless n(n+1)/2 strings exist
         "strong": is_strong_companion_basis(psi, B),
         "n_strings": B.n * (B.n + 1) // 2,
     }

@@ -216,41 +216,55 @@ def is_string(B: ExchangeMatrix, walk: StringWalk) -> bool:
     )
 
 
+def _string_paths(B: ExchangeMatrix) -> list[tuple[int, ...]]:
+    """The strings' vertex sequences, each from its smaller end, unsorted.
+
+    Induced paths are strings as they stand (their vertices are adjacent
+    exactly when consecutive), so nothing here re-checks them.  Raises
+    ValueError unless the cycles are gentle and there are n(n+1)/2 paths.
+    """
+    relations_of(B)  # validates the cycle structure
+    n = B.n
+    # a string's induced path is walked from both ends; keep one direction
+    paths = [
+        path
+        for v in range(n)
+        for path in induced_paths(B.neighbours, v, -1)
+        if path[0] <= path[-1]
+    ]
+    expected = n * (n + 1) // 2
+    if len(paths) != expected:
+        raise ValueError(f"expected {expected} strings, found {len(paths)}")
+    return paths
+
+
 def enumerate_strings(B: ExchangeMatrix) -> list[StringWalk]:
     """All strings up to reversal: one per vertex pair plus the trivial ones.
 
     Canonical direction starts at the smaller endpoint; sorted by length then
     vertex sequence.
     """
-    relations_of(B)  # validates the cycle structure
-    n = B.n
-    # a string's induced path is walked from both ends; keep one direction
-    walks = [
-        _walk_from_vertices(B, path)
-        for v in range(n)
-        for path in induced_paths(B.neighbours, v, -1)
-        if path[0] <= path[-1]
-    ]
-    walks.sort(key=lambda w: (len(w.vertices), w.vertices))
-    expected = n * (n + 1) // 2
-    if len(walks) != expected:
-        raise ValueError(f"expected {expected} strings, found {len(walks)}")
-    return walks
+    paths = sorted(_string_paths(B), key=lambda path: (len(path), path))
+    return [_walk_from_vertices(B, path) for path in paths]
+
+
+def _indicator(n: int, vertices) -> DVector:
+    indicator = [0] * n
+    for x in vertices:
+        indicator[x] = 1
+    return tuple(indicator)
 
 
 def string_dim_vector(B: ExchangeMatrix, walk: StringWalk) -> DVector:
     """Dimension vector of the module supported on a string: its 0/1 indicator."""
     if not is_string(B, walk):
         raise ValueError("walk is not a string of this quiver")
-    indicator = [0] * B.n
-    for x in walk.vertices:
-        indicator[x] = 1
-    return tuple(indicator)
+    return _indicator(B.n, walk.vertices)
 
 
 def indecomposable_dim_vectors(B: ExchangeMatrix) -> frozenset[DVector]:
     """Dimension vectors of all indecomposables: one 0/1 vector per string."""
-    return frozenset(string_dim_vector(B, w) for w in enumerate_strings(B))
+    return frozenset(_indicator(B.n, path) for path in _string_paths(B))
 
 
 def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:

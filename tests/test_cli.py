@@ -243,13 +243,13 @@ def test_dvectors_keeps_exit_4_for_a_wrong_basis_of_the_right_size(tmp_path, cap
 
 def test_verify_type_a_enumerates_the_strings_once_per_triangulation(monkeypatch):
     calls = []
-    original = type_a.enumerate_strings
+    original = type_a._string_paths
 
     def counting(B):
         calls.append(B)
         return original(B)
 
-    monkeypatch.setattr(type_a, "enumerate_strings", counting)
+    monkeypatch.setattr(type_a, "_string_paths", counting)
     triangulations = type_a.enumerate_triangulations(4)
     for T in triangulations:
         B = type_a.quiver_from_triangulation(T)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from companion_bases.companion import CompanionBasis, companion_basis_for
+from companion_bases.companion import CompanionBasis, companion_basis_for, sign_change
 from companion_bases.quiver import (
     ExchangeMatrix,
     chordless_cycles,
@@ -243,9 +243,81 @@ def test_is_strong_companion_basis(pendant_basis):
 
 def test_strongness_is_basis_independent(pendant_basis):
     # any companion basis has the same d-vector set, so strongness transfers
-    from companion_bases.companion import sign_change
-
     assert is_strong_companion_basis(sign_change(pendant_basis, {1, 3}), PENDANT)
+
+
+def dim_vectors_from_walks(B):
+    """The definition the shared path walk replaces: one checked walk per string."""
+    return frozenset(string_dim_vector(B, w) for w in enumerate_strings(B))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dim_vectors_match_the_walk_definition_on_every_triangulation(n):
+    for T in enumerate_triangulations(n):
+        B = quiver_from_triangulation(T)
+        assert indecomposable_dim_vectors(B) == dim_vectors_from_walks(B)
+
+
+def test_dim_vectors_match_the_walk_definition_on_drawn_and_fixed_quivers():
+    rng = random.Random(15)
+    quivers = [
+        quiver_from_triangulation(random_triangulation(n, rng))
+        for n in range(10, 15)
+        for _ in range(8)
+    ]
+    quivers += [PENDANT] + [dynkin_orientation(f"A{n}") for n in range(1, 6)]
+    for B in quivers:
+        assert indecomposable_dim_vectors(B) == dim_vectors_from_walks(B)
+
+
+# (diagonals, strings as (vertices, directions)) in enumerate_strings order
+PINNED_STRINGS = [
+    (
+        ((1, 3), (1, 5), (3, 5), (5, 7)),
+        [((0,), ()), ((1,), ()), ((2,), ()), ((3,), ()), ((0, 1), (1,)),
+         ((0, 2), (-1,)), ((1, 2), (1,)), ((1, 3), (-1,)), ((0, 1, 3), (1, -1)),
+         ((2, 1, 3), (-1, -1))],
+    ),
+    (
+        ((1, 4), (2, 4), (4, 6), (4, 7), (4, 8)),
+        [((0,), ()), ((1,), ()), ((2,), ()), ((3,), ()), ((4,), ()),
+         ((0, 1), (1,)), ((0, 4), (-1,)), ((2, 3), (1,)), ((3, 4), (1,)),
+         ((0, 4, 3), (-1, -1)), ((1, 0, 4), (-1, -1)), ((2, 3, 4), (1, 1)),
+         ((0, 4, 3, 2), (-1, -1, -1)), ((1, 0, 4, 3), (-1, -1, -1)),
+         ((1, 0, 4, 3, 2), (-1, -1, -1, -1))],
+    ),
+    (
+        ((1, 3), (1, 5), (1, 7), (3, 5), (5, 7), (7, 9)),
+        [((0,), ()), ((1,), ()), ((2,), ()), ((3,), ()), ((4,), ()), ((5,), ()),
+         ((0, 1), (1,)), ((0, 3), (-1,)), ((1, 2), (1,)), ((1, 3), (1,)),
+         ((1, 4), (-1,)), ((2, 4), (1,)), ((2, 5), (-1,)), ((0, 1, 2), (1, 1)),
+         ((0, 1, 4), (1, -1)), ((1, 2, 5), (1, -1)), ((2, 1, 3), (-1, 1)),
+         ((3, 1, 4), (-1, -1)), ((4, 2, 5), (-1, -1)), ((0, 1, 2, 5), (1, 1, -1)),
+         ((3, 1, 2, 5), (-1, 1, -1))],
+    ),
+]
+
+
+@pytest.mark.parametrize("diagonals,strings", PINNED_STRINGS)
+def test_enumerate_strings_keeps_its_walks_and_order(diagonals, strings):
+    B = quiver_from_triangulation(Triangulation(len(diagonals), diagonals))
+    assert enumerate_strings(B) == [StringWalk(vs, ds) for vs, ds in strings]
+
+
+# Two oriented triangles sharing the edge 1-2: gentle by relations_of's test,
+# but of type D4, with 11 induced paths where type A4 has 10 strings.
+DIAMOND = ExchangeMatrix.from_arrows(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)])
+
+
+def test_the_string_count_rejects_two_triangles_sharing_an_edge():
+    assert len(relations_of(DIAMOND)) == 6
+    for strings in (enumerate_strings, indecomposable_dim_vectors):
+        with pytest.raises(ValueError, match=r"^expected 10 strings, found 11$"):
+            strings(DIAMOND)
+    psi = companion_basis_for(DIAMOND)
+    for basis in (psi, sign_change(psi, {0, 2})):
+        with pytest.raises(ValueError, match=r"^expected 10 strings, found 11$"):
+            is_strong_companion_basis(basis, DIAMOND)
 
 
 def test_almost_positive_roots_snake():
