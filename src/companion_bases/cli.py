@@ -146,11 +146,17 @@ def cmd_dvectors(args) -> int:
         psi, B = loads_companion_basis(_read(args.input))
     except ValueError as exc:
         raise CommandError(str(exc), EXIT_PARSE) from None
+    # one elimination: the inverse, once computed, proves det = +-1 for the
+    # check; when there is none, the check's own elimination reports why
+    try:
+        psi.inverse()
+    except ValueError:
+        pass
     failure = companion_basis_failure(psi, B)
     if failure is not None:
         raise CommandError(failure, EXIT_SEARCH)
     dset = d_vector_set(psi)
-    rows = [{"d": list(d), "root": list(dset.root_of(d))} for d in dset.sorted_vectors()]
+    rows = [{"d": d, "root": root} for d, root in dset.sorted_items()]
     report = {"type": str(psi.rs.dynkin), "count": len(rows), "vectors": rows}
     _write(args.output, dump_json(report))
     return 0

@@ -55,20 +55,24 @@ class CompanionBasis:
     """A vertex-indexed tuple of roots, candidate Z-basis of the root lattice.
 
     The basis is its root handles `ids` (see RootSystem.locate), so form
-    values and reflections are table lookups; `_set` derives `gamma`, the
-    coordinate tuples, from them.  The constructor locates the vectors it is
-    given; library code builds bases from handles with `_from_ids`.  `_checked`
-    is the ExchangeMatrix the basis last passed companion_basis_failure against.
+    values and reflections are table lookups.  `gamma`, the coordinate
+    tuples, is derived from the handles on first read and then kept, so a
+    mutation step and its check never build it.  The constructor locates the
+    vectors it is given; library code builds bases from handles with
+    `_from_ids`.  `_checked` is the ExchangeMatrix the basis last passed
+    companion_basis_failure against.
 
-    `_unimodular` records that the basis is known to be a Z-basis without an
-    elimination.  `_set` resets it, so every constructor yields an unflagged
-    basis.  Only two places set it: _mutate_basis, on a basis it derived by
-    elementary column operations from one that had passed its check, and
+    Two slots record that the basis is known to be a Z-basis without a
+    determinant.  `_inverse`, set only by `inverse`, holds the integer inverse,
+    which lattice_inverse computes only when det = +-1.  `_unimodular` is set
+    only by _mutate_basis, on a basis it derived by elementary column
+    operations from one that had passed its check, and by
     companion_basis_for, on a basis whose Gram matrix it realized as a
-    positive companion of the recognised type's determinant.
+    positive companion of the recognised type's determinant.  `_set` resets
+    both, so every constructor yields a basis that knows neither.
     """
 
-    __slots__ = ("rs", "gamma", "ids", "_inverse", "_checked", "_unimodular")
+    __slots__ = ("rs", "ids", "_gamma", "_inverse", "_checked", "_unimodular")
 
     def __init__(self, rs: RootSystem, gamma):
         gamma = [tuple(g) for g in gamma]
@@ -84,9 +88,16 @@ class CompanionBasis:
         return psi
 
     def _set(self, rs: RootSystem, ids: tuple[int, ...]) -> None:
-        self.rs, self.ids, self.gamma = rs, ids, tuple(map(rs.root, ids))
-        self._inverse = self._checked = None
+        self.rs, self.ids = rs, ids
+        self._gamma = self._inverse = self._checked = None
         self._unimodular = False
+
+    @property
+    def gamma(self) -> tuple[Root, ...]:
+        """The elements' coordinate tuples, derived from `ids` on first read."""
+        if self._gamma is None:
+            self._gamma = tuple(map(self.rs.root, self.ids))
+        return self._gamma
 
     def __eq__(self, other):
         return (
@@ -110,10 +121,11 @@ class CompanionBasis:
         """Whether det of the basis matrix is +-1.
 
         True at once for a basis made by _mutate_basis or companion_basis_for,
-        whose determinant follows from how it was built; any other basis runs
-        one elimination.
+        whose determinant follows from how it was built, and for a basis that
+        holds its inverse, which lattice_inverse computes only when det = +-1.
+        Any other basis runs one elimination.
         """
-        if self._unimodular:
+        if self._unimodular or self._inverse is not None:
             return True
         # the rows of gamma are the columns of the basis matrix; det M^T = det M
         return det_bareiss(self.gamma) in (1, -1)
@@ -146,15 +158,16 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
     with the same B object (by identity, not equality) returns None at once.
     Both are immutable, so the remembered pass stays exact.  Any other B is
     checked in full, and a failure is never remembered.  The determinant of a
-    basis made by mutate_inward, mutate_outward or companion_basis_for is
-    derived, not recomputed (see CompanionBasis.is_z_basis); the pair scan
-    always runs.
+    basis made by mutate_inward, mutate_outward or companion_basis_for, or of
+    one that holds its inverse, is derived, not recomputed (see
+    CompanionBasis.is_z_basis); the pair scan always runs.  The check reads
+    only handles, never the coordinate tuples `gamma`.
     """
     if psi._checked is B:
         return None
     n = B.n
-    if len(psi.gamma) != n:
-        return f"size mismatch: {len(psi.gamma)} roots for {n} vertices"
+    if len(psi.ids) != n:
+        return f"size mismatch: {len(psi.ids)} roots for {n} vertices"
     if not psi.is_z_basis():
         return "not a Z-basis of the root lattice"
     # a root and its negative share a form row up to sign, and only absolute
@@ -290,6 +303,11 @@ class DVectorSet:
 
     def sorted_vectors(self) -> list[DVector]:
         return sorted(self.vectors)
+
+    def sorted_items(self) -> list[tuple[DVector, Root]]:
+        """(d-vector, root) pairs in the order of sorted_vectors."""
+        # d-vectors are distinct, so the sort never compares roots
+        return sorted(self._root_of.items())
 
     def __len__(self):
         return len(self.by_root)
@@ -528,7 +546,7 @@ def phi_in_type_a(
 
 def dumps_d_vector_set(dset: DVectorSet) -> str:
     """Lexicographically sorted JSON array of the d-vectors; golden-file stable."""
-    return dump_json([list(d) for d in dset.sorted_vectors()])
+    return dump_json(dset.sorted_vectors())
 
 
 def dumps_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> str:

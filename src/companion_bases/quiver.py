@@ -415,9 +415,13 @@ def int_rows(value, n_rows: int, n_cols: int, name: str) -> tuple[tuple[int, ...
     """
     if not isinstance(value, list) or len(value) != n_rows:
         raise ValueError(f"'{name}' must be a list of {n_rows} rows")
+    message = f"'{name}' rows must be lists of {n_cols} integers"
     for row in value:
-        if not isinstance(row, list) or len(row) != n_cols or not all(map(_is_int, row)):
-            raise ValueError(f"'{name}' rows must be lists of {n_cols} integers")
+        if not isinstance(row, list) or len(row) != n_cols:
+            raise ValueError(message)
+    # type() is exact: a bool is not an int here
+    if not set(map(type, chain.from_iterable(value))) <= {int}:
+        raise ValueError(message)
     return tuple(tuple(row) for row in value)
 
 

@@ -11,6 +11,7 @@ import pytest
 from companion_bases import cli, quiver, type_a
 from companion_bases.cli import main
 from companion_bases.companion import loads_companion_basis, is_companion_basis
+from companion_bases.intlinalg import det_bareiss
 from companion_bases.quiver import dumps_exchange_matrix, loads_exchange_matrix
 from companion_bases.root_system import MAX_RANK
 
@@ -239,6 +240,20 @@ def test_dvectors_keeps_exit_4_for_a_wrong_basis_of_the_right_size(tmp_path, cap
     path.write_text(json.dumps({**A2_BASIS, "gamma": [[1, 0], [-1, 0]]}))
     assert run(["dvectors", "--input", path]) == 4
     assert capsys.readouterr().err == "error: not a Z-basis of the root lattice\n"
+
+
+def test_dvectors_keeps_exit_4_for_roots_of_determinant_two(tmp_path, capsys):
+    # four D4 roots spanning a sublattice of index 2: nonsingular, so only the
+    # determinant tells them from a Z-basis
+    gamma = [[0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
+    assert det_bareiss(gamma) == 2
+    path = tmp_path / "basis.json"
+    quiver = {"n": 4, "arrows": [[0, 1], [1, 2], [1, 3]]}
+    path.write_text(json.dumps({"type": "D4", "quiver": quiver, "gamma": gamma}))
+    assert run(["dvectors", "--input", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a Z-basis of the root lattice\n"
 
 
 def test_verify_type_a_enumerates_the_strings_once_per_triangulation(monkeypatch):

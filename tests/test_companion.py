@@ -777,6 +777,34 @@ def count_eliminations(monkeypatch):
     return calls
 
 
+def count_inverses(monkeypatch):
+    """The list that gets one entry per lattice_inverse call made through companion."""
+    calls = []
+    original = companion.lattice_inverse
+
+    def counting(basis):
+        calls.append(basis)
+        return original(basis)
+
+    monkeypatch.setattr(companion, "lattice_inverse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["A12", "D8", "E8"])
+def test_dvectors_eliminates_each_loaded_basis_once(label, tmp_path, capsys, monkeypatch):
+    psi, B = random_walk_basis(label, 40, f"one-elimination:{label}")
+    moved = transform(sign_change(psi, [0, 2]), word=[psi.rs.positive_roots[-1]])
+    path = tmp_path / "basis.json"
+    path.write_text(dumps_companion_basis(moved, B))
+    eliminations = count_eliminations(monkeypatch)
+    inverses = count_inverses(monkeypatch)
+    assert main(["dvectors", "--input", str(path)]) == 0
+    # the inverse proves det = +-1, so the check runs no determinant of its own
+    assert (len(eliminations), len(inverses)) == (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert {tuple(row["d"]) for row in report["vectors"]} == d_vector_set(psi).vectors
+
+
 @pytest.mark.parametrize("label", ["A8", "D8", "E8"])
 def test_a_walk_eliminates_once_per_new_basis(label, monkeypatch):
     rng = random.Random(f"memo-walk:{label}")
@@ -1017,8 +1045,9 @@ def test_sign_change_rejects_a_vertex_out_of_range(pendant_basis):
 
 
 def assert_one_root_representation(psi):
-    """gamma is derived from the handles, as tuples of plain ints."""
+    """gamma is derived from the handles on first read, then kept, as plain ints."""
     assert psi.gamma == tuple(map(psi.rs.root, psi.ids))
+    assert psi.gamma is psi.gamma
     assert all(type(g) is tuple for g in psi.gamma)
     assert all(type(c) is int for g in psi.gamma for c in g)
     assert all(type(h) is int for h in psi.ids)
@@ -1043,6 +1072,8 @@ def test_every_library_basis_is_its_handles(label):
         assert_one_root_representation(moved)
         loaded, _ = loads_companion_basis(dumps_companion_basis(moved, B))
         assert_one_root_representation(loaded)
+        rebuilt = CompanionBasis(psi.rs, list(map(psi.rs.root, psi.ids)))
+        assert_one_root_representation(rebuilt)
         assert_one_root_representation(companion_basis_for(B))
 
 
@@ -1075,3 +1106,27 @@ def test_a_walk_locates_nothing_once_the_reflection_rows_are_filled(label, monke
         psi, B = (mutate_inward if rng.random() < 0.5 else mutate_outward)(psi, B, k)
     assert companion_basis_failure(psi, B) is None
     assert calls == []
+
+
+def test_a_checked_walk_reads_no_coordinates(monkeypatch):
+    rng = random.Random("no-coordinates:E8")
+    B = dynkin_orientation("E8")
+    psi = initial_companion_basis(B)
+    # the start basis is the one a walk eliminates, on its coordinates
+    assert companion_basis_failure(psi, B) is None
+    calls = []
+    original = RootSystem.root
+
+    def counting(self, h):
+        calls.append(h)
+        return original(self, h)
+
+    monkeypatch.setattr(RootSystem, "root", counting)
+    for _ in range(50):
+        k = rng.randrange(B.n)
+        psi, B = (mutate_inward if rng.random() < 0.5 else mutate_outward)(psi, B, k)
+        assert companion_basis_failure(psi, B) is None
+    assert calls == []
+    # the wrapper does see a read of the coordinates
+    psi.gamma
+    assert len(calls) == B.n

@@ -7,6 +7,10 @@ on a basis whose Gram matrix is a positive companion A with |det A| = det C
 (so det M = +-1), and `_set`, which every constructor runs, resets it.  An
 assignment anywhere else could mark an unchecked basis as a Z-basis, so this
 scan fails on it.
+
+A held inverse (`_inverse`) proves det = +-1 as well, since lattice_inverse
+raises on any other determinant, so the same scan also allows only `_set`
+and `CompanionBasis.inverse` to assign that slot.
 """
 
 import ast
@@ -42,12 +46,12 @@ def assignment_targets(node: ast.AST) -> list[ast.expr]:
     return []
 
 
-def flag_assignments(path: Path) -> list[tuple[str, object]]:
-    """(enclosing function, assigned constant or None) for every write of FLAG.
+def flag_assignments(path: Path, flag: str = FLAG) -> list[tuple[str, object]]:
+    """(enclosing function, assigned constant or None) for every write of flag.
 
     Counts attribute assignments, including in tuples and augmented ones,
-    setattr(..., "_unimodular", ...) and any other string constant naming
-    the flag outside the class's __slots__.
+    setattr(..., flag, ...) and any other string constant naming the flag
+    outside the class's __slots__.
     """
     found = []
     stack = [(path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path)))]
@@ -58,7 +62,7 @@ def flag_assignments(path: Path) -> list[tuple[str, object]]:
                 stack.append((f"{prefix}.{child.name}", child))
                 continue
             for target in assignment_targets(child):
-                if isinstance(target, ast.Attribute) and target.attr == FLAG:
+                if isinstance(target, ast.Attribute) and target.attr == flag:
                     value = getattr(child, "value", None)
                     constant = value.value if isinstance(value, ast.Constant) else None
                     found.append((prefix, constant))
@@ -67,7 +71,7 @@ def flag_assignments(path: Path) -> list[tuple[str, object]]:
                 and [getattr(t, "id", None) for t in child.targets] == ["__slots__"]
             ):
                 continue
-            if isinstance(child, ast.Constant) and child.value == FLAG:
+            if isinstance(child, ast.Constant) and child.value == flag:
                 found.append((prefix, "string"))
             stack.append((prefix, child))
     return found
@@ -78,6 +82,16 @@ def test_the_flag_is_assigned_only_by_the_reset_and_by_mutation():
     assert modules
     found = [item for path in modules for item in flag_assignments(path)]
     assert sorted(found, key=str) == sorted(ALLOWED, key=str)
+
+
+def test_the_inverse_is_assigned_only_by_the_reset_and_by_inverse():
+    # is_z_basis trusts a held inverse: lattice_inverse raises unless det = +-1
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    found = [item for path in modules for item in flag_assignments(path, "_inverse")]
+    assert sorted(found, key=str) == [
+        ("companion.CompanionBasis._set", None),
+        ("companion.CompanionBasis.inverse", None),
+    ]
 
 
 def test_the_scan_sees_every_spelling(tmp_path):
