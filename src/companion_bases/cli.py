@@ -31,6 +31,7 @@ from .companion import (
 )
 from .quiver import (
     ExchangeMatrix,
+    _matrix_data,
     dump_json,
     dumps_exchange_matrix,
     loads_exchange_matrix,
@@ -167,7 +168,7 @@ def _verify_one(T: Triangulation) -> dict:
     psi = companion_basis_for(B)
     return {
         "diagonals": [list(d) for d in T.diagonals],
-        "quiver": {"n": B.n, "b": [list(row) for row in B.entries]},
+        "quiver": _matrix_data(B),
         # the strongness check's string walk raises unless n(n+1)/2 strings exist
         "strong": is_strong_companion_basis(psi, B),
         "n_strings": B.n * (B.n + 1) // 2,

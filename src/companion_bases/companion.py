@@ -16,6 +16,7 @@ from operator import add
 from .intlinalg import det_bareiss, mat_vec
 from .quiver import (
     ExchangeMatrix,
+    _matrix_data,
     dump_json,
     dynkin_type_and_companion,
     dynkin_type_of,
@@ -526,15 +527,15 @@ def phi_in_type_a(
     """Closed form of the inward mutation map in type A.
 
     Only the k-component moves: it becomes |-d_k + sum of d_x over arrows
-    x -> k|.  The input must be a realised d-vector of B, checked against the
-    supplied (or freshly computed) DVectorSet.
+    x -> k|.  B must be of type A, and the input a realised d-vector of B,
+    checked against the supplied (or freshly computed) DVectorSet.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"vertex {k} out of range for n={B.n}")
     d = tuple(d)
+    if dynkin_type_of(B).family != "A":
+        raise ValueError("closed form only holds in type A")
     if dvectors is None:
-        if dynkin_type_of(B).family != "A":
-            raise ValueError("closed form only holds in type A")
         dvectors = d_vector_set(companion_basis_for(B))
     if d not in dvectors:
         raise ValueError(f"{d} is not a realised d-vector")
@@ -553,7 +554,7 @@ def dumps_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> str:
     return dump_json(
         {
             "type": str(psi.rs.dynkin),
-            "quiver": {"n": B.n, "b": [list(row) for row in B.entries]},
+            "quiver": _matrix_data(B),
             "gamma": [list(g) for g in psi.gamma],
         }
     )

@@ -65,8 +65,17 @@ class ExchangeMatrix:
 
     @classmethod
     def from_arrows(cls, n: int, arrows) -> ExchangeMatrix:
+        """Arrows (s, t) of distinct plain ints in 0..n-1 add up; opposite ones cancel."""
         rows = [[0] * n for _ in range(n)]
-        for s, t in arrows:
+        for pair in arrows:
+            if not (
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and all(_is_int(v) and 0 <= v < n for v in pair)
+                and pair[0] != pair[1]
+            ):
+                raise ValueError(f"bad arrow {pair!r}")
+            s, t = pair
             rows[s][t] += 1
             rows[t][s] -= 1
         return cls.from_rows(rows)
@@ -171,22 +180,22 @@ def induced_paths(neighbours, start: int, floor: int):
 
 def chordless_cycles(
     B: ExchangeMatrix, *, oriented: bool = False
-) -> list[tuple[int, ...]] | None:
+) -> list[tuple[int, ...]]:
     """Induced cycles of the underlying graph, each in canonical rotation.
 
     Canonical rotation: smallest vertex first, then its smaller neighbour.
     Sorted by length, then lexicographically.
 
     With oriented=True each cycle is checked with is_cyclically_oriented as
-    the walk finds it, and the result is None at the first that is not: a
-    quiver can have exponentially many cycles, and one suffices to fail.
+    the walk finds it, and the first that is not raises ValueError naming it:
+    a quiver can have exponentially many cycles, and one suffices to fail.
     """
     cycles = []
     for cycle in _cycle_walk(B):
         if oriented and not is_cyclically_oriented(B, cycle):
-            return None
+            raise ValueError(f"{CYCLE_NOT_ORIENTED}: {cycle}")
         cycles.append(cycle)
-    return _sorted_cycles(cycles)
+    return sorted(cycles, key=lambda c: (len(c), c))
 
 
 def _cycle_walk(B: ExchangeMatrix):
@@ -204,10 +213,6 @@ def _cycle_walk(B: ExchangeMatrix):
         for w in adj[v] & adj[path[-1]]
         if w > path[1] and adj[w].isdisjoint(path[1:-1])
     )
-
-
-def _sorted_cycles(cycles) -> list[tuple[int, ...]]:
-    return sorted(cycles, key=lambda c: (len(c), c))
 
 
 def cycle_edges(cycle) -> list[tuple]:
@@ -262,8 +267,7 @@ def satisfies_cycle_sign_condition(A, B: ExchangeMatrix) -> bool:
     if not is_companion_of(A, B):
         raise ValueError("A is not a quasi-Cartan companion of B")
     return all(
-        prod(-A[x][y] for x, y in cycle_edges(cycle)) < 0
-        for cycle in chordless_cycles(B)
+        prod(-A[x][y] for x, y in cycle_edges(cycle)) < 0 for cycle in _cycle_walk(B)
     )
 
 
@@ -272,15 +276,9 @@ def canonical_companion(B: ExchangeMatrix) -> SymMatrix:
 
     Signs are one GF(2) variable per underlying edge, one parity equation per
     chordless cycle, solved with free variables negative.  Requires every
-    chordless cycle of B to be cyclically oriented: each is checked as the
-    walk finds it, and the first that is not is named in the ValueError.
+    chordless cycle of B to be cyclically oriented (see chordless_cycles).
     """
-    cycles = []
-    for cycle in _cycle_walk(B):
-        if not is_cyclically_oriented(B, cycle):
-            raise ValueError(f"{CYCLE_NOT_ORIENTED}: {cycle}")
-        cycles.append(cycle)
-    return _signed_companion(B, _sorted_cycles(cycles))
+    return _signed_companion(B, chordless_cycles(B, oriented=True))
 
 
 def _signed_companion(B: ExchangeMatrix, cycles) -> SymMatrix:
@@ -337,8 +335,9 @@ def _companion_or_failure(
     cyclically oriented, and reuses them for the companion; the positivity
     check yields det A as its last leading minor.
     """
-    cycles = chordless_cycles(B, oriented=True)
-    if cycles is None:
+    try:
+        cycles = chordless_cycles(B, oriented=True)
+    except ValueError:
         return None, 0, CYCLE_NOT_ORIENTED
     A = _signed_companion(B, cycles)
     det = positive_definite_det(A)
@@ -399,8 +398,13 @@ def dynkin_type_of(B: ExchangeMatrix) -> DynkinType:
     return dynkin_type_and_companion(B)[0]
 
 
+def _matrix_data(B: ExchangeMatrix) -> dict:
+    """The JSON object {"n": ..., "b": [[...]]} of B, as every writer emits it."""
+    return {"n": B.n, "b": [list(row) for row in B.entries]}
+
+
 def dumps_exchange_matrix(B: ExchangeMatrix) -> str:
-    return dump_json({"n": B.n, "b": [list(row) for row in B.entries]})
+    return dump_json(_matrix_data(B))
 
 
 def _is_int(value) -> bool:
@@ -455,15 +459,7 @@ def exchange_matrix_from_data(data) -> ExchangeMatrix:
     if "b" in data:
         return ExchangeMatrix(int_rows(data["b"], n, n, "b"))
     if "arrows" in data:
-        arrows = data["arrows"]
-        if not isinstance(arrows, list):
+        if not isinstance(data["arrows"], list):
             raise ValueError("'arrows' must be a list")
-        for pair in arrows:
-            if not (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and all(_is_int(v) and 0 <= v < n for v in pair)
-            ):
-                raise ValueError(f"bad arrow {pair!r}")
-        return ExchangeMatrix.from_arrows(n, arrows)
+        return ExchangeMatrix.from_arrows(n, data["arrows"])
     raise ValueError("expected a 'b' matrix or an 'arrows' list")

@@ -22,7 +22,6 @@ from .quiver import (
     dump_json,
     induced_paths,
     int_rows,
-    is_cyclically_oriented,
     load_json,
 )
 from .root_system import Root
@@ -154,14 +153,14 @@ def quiver_from_triangulation(T: Triangulation) -> ExchangeMatrix:
 def relations_of(B: ExchangeMatrix) -> frozenset[ArrowPair]:
     """Forbidden consecutive arrow pairs: both steps of any oriented 3-cycle.
 
-    Each pair is ((s1, t1), (s2, t2)) with t1 == s2.
+    Each pair is ((s1, t1), (s2, t2)) with t1 == s2.  Raises ValueError
+    unless every chordless cycle is cyclically oriented (see chordless_cycles)
+    and of length 3.
     """
     pairs = set()
-    for cycle in chordless_cycles(B):
+    for cycle in chordless_cycles(B, oriented=True):
         if len(cycle) != 3:
             raise ValueError(f"chordless cycle of length {len(cycle)} found")
-        if not is_cyclically_oriented(B, cycle):
-            raise ValueError(f"chordless 3-cycle {cycle} is not oriented")
         if B.entries[cycle[0]][cycle[1]] < 0:
             cycle = cycle[::-1]
         # the arrows are the cycle's edges; the pairs are the arrows' edges

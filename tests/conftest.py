@@ -1,7 +1,11 @@
+import ast
+import itertools
+
 import pytest
 
 from companion_bases import ExchangeMatrix
 from companion_bases.companion import CompanionBasis
+from companion_bases.quiver import CYCLE_NOT_ORIENTED, cycle_edges, is_cyclically_oriented
 from companion_bases.root_system import DynkinType, build_root_system
 
 # A4 quiver made of an oriented triangle 1->2->3->1 with a pendant arrow 0->1;
@@ -40,6 +44,19 @@ def grid_quiver(side: int) -> ExchangeMatrix:
     arrows = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
     arrows += [(v, v + side) for v in range(side * (side - 1))]
     return ExchangeMatrix.from_arrows(side * side, arrows)
+
+
+def assert_names_a_bad_cycle(B: ExchangeMatrix, error: ValueError) -> None:
+    """The error names a chordless cycle of B in canonical rotation that is
+    not cyclically oriented."""
+    prefix, _, named = str(error).rpartition(": ")
+    assert prefix == CYCLE_NOT_ORIENTED
+    named = ast.literal_eval(named)
+    edges = {frozenset(e) for e in cycle_edges(named)}
+    for x, y in itertools.combinations(named, 2):
+        assert (B.entries[x][y] != 0) == (frozenset((x, y)) in edges)
+    assert named[0] == min(named) and named[1] < named[-1]
+    assert not is_cyclically_oriented(B, named)
 
 
 @pytest.fixture

@@ -143,6 +143,22 @@ def test_empty_quiver_is_malformed_input(tmp_path, capsys, command, text):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["mutate", "recognize", "companion"])
+@pytest.mark.parametrize(
+    "arrows,named", [("[[0, 1], [2, 2]]", "[2, 2]"), ("[[0, -1]]", "[0, -1]")]
+)
+def test_a_loop_or_out_of_range_arrow_is_malformed_input(
+    tmp_path, capsys, command, arrows, named
+):
+    src = tmp_path / "bad.json"
+    src.write_text(f'{{"n": 3, "arrows": {arrows}}}')
+    extra = ["--k", 0] if command == "mutate" else []
+    assert run([command, "--input", src, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: bad arrow {named}"]
+
+
 def test_companion_rejects_disconnected_quiver(tmp_path, capsys):
     src = tmp_path / "disconnected.json"
     src.write_text('{"n": 3, "arrows": [[0, 1]]}')

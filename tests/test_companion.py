@@ -493,6 +493,11 @@ def test_phi_in_rejects_non_type_a():
     B = dynkin_orientation("D4")
     with pytest.raises(ValueError, match="type A"):
         phi_in_type_a(B, 0, (1, 0, 0, 0))
+    # a supplied d-vector set does not skip the type check
+    dset = d_vector_set(companion_basis_for(B))
+    assert (1, 2, 1, 1) in dset
+    with pytest.raises(ValueError, match="^closed form only holds in type A$"):
+        phi_in_type_a(B, 1, (1, 2, 1, 1), dset)
 
 
 def test_unit_dvector_at_source_is_fixed():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -7,10 +8,12 @@ import pytest
 from companion_bases.companion import CompanionBasis, companion_basis_for, sign_change
 from companion_bases.quiver import (
     ExchangeMatrix,
+    cartan_counterpart,
     chordless_cycles,
     dynkin_type_of,
     is_cyclically_oriented,
     is_finite_type,
+    satisfies_cycle_sign_condition,
 )
 from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
@@ -33,7 +36,13 @@ from companion_bases.type_a import (
     string_dim_vector,
 )
 
-from conftest import PENDANT_ARROWS, PENDANT_DVECTORS, dynkin_orientation
+from conftest import (
+    PENDANT_ARROWS,
+    PENDANT_DVECTORS,
+    assert_names_a_bad_cycle,
+    dynkin_orientation,
+    grid_quiver,
+)
 
 PENDANT = ExchangeMatrix.from_arrows(4, PENDANT_ARROWS)
 
@@ -157,6 +166,20 @@ def test_relations():
     square = ExchangeMatrix.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ValueError, match="length 4"):
         relations_of(square)
+
+
+def test_the_cycle_checks_stop_at_the_first_cycle_not_cyclically_oriented():
+    # the 7 x 7 grid has 65,772 chordless cycles; the first one walked fails
+    B = grid_quiver(7)
+    for call in (relations_of, indecomposable_dim_vectors, enumerate_strings):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            call(B)
+        assert time.perf_counter() - start < 1.0, call
+        assert_names_a_bad_cycle(B, info.value)
+    start = time.perf_counter()
+    assert not satisfies_cycle_sign_condition(cartan_counterpart(B), B)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_strings_smallest():
