@@ -169,7 +169,7 @@ def _verify_one(T: Triangulation) -> dict:
     return {
         "diagonals": [list(d) for d in T.diagonals],
         "quiver": _matrix_data(B),
-        # the strongness check's string walk raises unless n(n+1)/2 strings exist
+        # a type-A quiver has n(n+1)/2 strings, one per positive root
         "strong": is_strong_companion_basis(psi, B),
         "n_strings": B.n * (B.n + 1) // 2,
     }

@@ -313,9 +313,6 @@ class DVectorSet:
     def __len__(self):
         return len(self.by_root)
 
-    def __contains__(self, d):
-        return tuple(d) in self.vectors
-
     def __eq__(self, other):
         if isinstance(other, DVectorSet):
             return self.vectors == other.vectors
@@ -341,13 +338,16 @@ def d_vector_set(psi: CompanionBasis) -> DVectorSet:
 def root_with_support_string(psi: CompanionBasis, walk) -> Root:
     """The positive root supported exactly on a string of vertices.
 
-    The walk must visit distinct vertices that are pairwise joined by an arrow
-    exactly when consecutive.  Computed by reflecting the first element through
-    the rest in order, then normalising the sign.
+    The walk must visit distinct vertices in 0..n-1 that are pairwise joined
+    by an arrow exactly when consecutive.  Computed by reflecting the first
+    element through the rest in order, then normalising the sign.
     """
     walk = list(walk)
     if not walk:
         raise ValueError("walk is empty")
+    for x in walk:
+        if x not in range(psi.rs.rank):
+            raise IndexError(f"vertex {x} out of range for n={psi.rs.rank}")
     if len(set(walk)) != len(walk):
         raise ValueError("walk revisits a vertex")
     rs = psi.rs
@@ -510,8 +510,14 @@ def inward_update_components(
 
     Returns (exact, estimate): the true new component, and the value computed
     from absolute coefficients alone.  Their difference is always even; in
-    type A the two agree on realised d-vectors.
+    type A the two agree on realised d-vectors.  Raises IndexError unless k
+    is a vertex and ValueError unless psi is a companion basis for B.
     """
+    if not 0 <= k < B.n:
+        raise IndexError(f"vertex {k} out of range for n={B.n}")
+    failure = companion_basis_failure(psi, B)
+    if failure is not None:
+        raise ValueError(f"invalid companion basis: {failure}")
     coeffs = psi.expand(alpha)
     form = psi.rs.form
     h_k = psi.ids[k]
@@ -521,28 +527,23 @@ def inward_update_components(
     return exact, estimate
 
 
-def phi_in_type_a(
-    B: ExchangeMatrix, k: int, d, dvectors: DVectorSet | None = None
-) -> DVector:
-    """Closed form of the inward mutation map in type A.
+def phi_in_type_a(B: ExchangeMatrix, k: int) -> dict[DVector, DVector]:
+    """The closed form of mutation_map_inward(psi, B, k) in type A, as {d: d'}.
 
-    Only the k-component moves: it becomes |-d_k + sum of d_x over arrows
-    x -> k|.  B must be of type A, and the input a realised d-vector of B,
-    checked against the supplied (or freshly computed) DVectorSet.
+    Only the k-component of each d-vector d of B moves: it becomes
+    |-d_k + sum of d_x over arrows x -> k|.  Builds one companion basis for
+    B, whose type must be A.
     """
     if not 0 <= k < B.n:
         raise IndexError(f"vertex {k} out of range for n={B.n}")
-    d = tuple(d)
-    if dynkin_type_of(B).family != "A":
+    psi = companion_basis_for(B)
+    if psi.rs.dynkin.family != "A":
         raise ValueError("closed form only holds in type A")
-    if dvectors is None:
-        dvectors = d_vector_set(companion_basis_for(B))
-    if d not in dvectors:
-        raise ValueError(f"{d} is not a realised d-vector")
-    incoming = sum(d[x] for x in range(B.n) if B.entries[x][k] > 0)
-    out = list(d)
-    out[k] = abs(-d[k] + incoming)
-    return tuple(out)
+    incoming = [x for x in range(B.n) if B.entries[x][k] > 0]
+    return {
+        d: d[:k] + (abs(sum(d[x] for x in incoming) - d[k]),) + d[k + 1 :]
+        for d in d_vector_set(psi).vectors
+    }
 
 
 def dumps_d_vector_set(dset: DVectorSet) -> str:

@@ -332,13 +332,13 @@ def _companion_or_failure(
     """(canonical companion A, det A, None) for finite type, else (None, 0, reason).
 
     Finds the chordless cycles once, stopping at the first that is not
-    cyclically oriented, and reuses them for the companion; the positivity
-    check yields det A as its last leading minor.
+    cyclically oriented (the reason names it after ": "), and reuses them for
+    the companion; the positivity check yields det A as its last leading minor.
     """
     try:
         cycles = chordless_cycles(B, oriented=True)
-    except ValueError:
-        return None, 0, CYCLE_NOT_ORIENTED
+    except ValueError as exc:
+        return None, 0, str(exc)
     A = _signed_companion(B, cycles)
     det = positive_definite_det(A)
     if det == 0:
@@ -348,7 +348,7 @@ def _companion_or_failure(
 
 def finite_type_failure(B: ExchangeMatrix) -> str | None:
     """None when the mutation class of B is of finite type, else the reason."""
-    return _companion_or_failure(B)[2]
+    return recognize(B)[0]
 
 
 def is_finite_type(B: ExchangeMatrix) -> bool:
@@ -361,7 +361,7 @@ def dynkin_type_and_companion(B: ExchangeMatrix) -> tuple[DynkinType, SymMatrix]
     The type is read off the pair (rank, |det A|) of the positive companion A,
     which is invariant under both sign changes and mutation: A_n gives n+1,
     D_n gives 4, and E6/E7/E8 give 3/2/1.  Raises ValueError on input that is
-    not connected (checked first) or not of finite type.
+    not connected (checked first) or not of finite type, naming a bad cycle.
     """
     if not is_connected(B):
         raise ValueError("matrix is not connected")
@@ -389,7 +389,7 @@ def recognize(B: ExchangeMatrix) -> tuple[str | None, DynkinType | None]:
     """
     _, det, failure = _companion_or_failure(B)
     if failure is not None or not is_connected(B):
-        return failure, None
+        return failure and failure.partition(": ")[0], None
     return None, _type_of_companion(B.n, det)
 
 

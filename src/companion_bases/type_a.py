@@ -3,7 +3,8 @@
 Triangulations of a convex (n+3)-gon give the quivers under study in type A_n;
 their gentle relations and strings supply the dimension vectors that d-vectors
 are checked against.  Polygon corners are numbered 1..n+3 anticlockwise;
-quiver vertices are 0-based positions in the sorted diagonal list.
+quiver vertices are 0-based positions in the sorted diagonal list.  Strings
+and the strongness check raise ValueError on every type but A.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from .quiver import (
     chordless_cycles,
     cycle_edges,
     dump_json,
+    dynkin_type_of,
     induced_paths,
     int_rows,
     load_json,
 )
-from .root_system import Root
+from .root_system import DynkinType, Root
 
 Diagonal = tuple[int, int]
 
@@ -215,26 +217,25 @@ def is_string(B: ExchangeMatrix, walk: StringWalk) -> bool:
     )
 
 
+def _require_type_a(dynkin: DynkinType) -> None:
+    if dynkin.family != "A":
+        raise ValueError(f"strings need type A, not {dynkin}")
+
+
 def _string_paths(B: ExchangeMatrix) -> list[tuple[int, ...]]:
     """The strings' vertex sequences, each from its smaller end, unsorted.
 
     Induced paths are strings as they stand (their vertices are adjacent
-    exactly when consecutive), so nothing here re-checks them.  Raises
-    ValueError unless the cycles are gentle and there are n(n+1)/2 paths.
+    exactly when consecutive), so nothing here re-checks them; callers check
+    that B is of type A.
     """
-    relations_of(B)  # validates the cycle structure
-    n = B.n
     # a string's induced path is walked from both ends; keep one direction
-    paths = [
+    return [
         path
-        for v in range(n)
+        for v in range(B.n)
         for path in induced_paths(B.neighbours, v, -1)
         if path[0] <= path[-1]
     ]
-    expected = n * (n + 1) // 2
-    if len(paths) != expected:
-        raise ValueError(f"expected {expected} strings, found {len(paths)}")
-    return paths
 
 
 def enumerate_strings(B: ExchangeMatrix) -> list[StringWalk]:
@@ -243,6 +244,7 @@ def enumerate_strings(B: ExchangeMatrix) -> list[StringWalk]:
     Canonical direction starts at the smaller endpoint; sorted by length then
     vertex sequence.
     """
+    _require_type_a(dynkin_type_of(B))
     paths = sorted(_string_paths(B), key=lambda path: (len(path), path))
     return [_walk_from_vertices(B, path) for path in paths]
 
@@ -263,6 +265,7 @@ def string_dim_vector(B: ExchangeMatrix, walk: StringWalk) -> DVector:
 
 def indecomposable_dim_vectors(B: ExchangeMatrix) -> frozenset[DVector]:
     """Dimension vectors of all indecomposables: one 0/1 vector per string."""
+    _require_type_a(dynkin_type_of(B))
     return frozenset(_indicator(B.n, path) for path in _string_paths(B))
 
 
@@ -271,7 +274,13 @@ def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
     failure = companion_basis_failure(psi, B)
     if failure is not None:
         raise ValueError(f"invalid companion basis: {failure}")
-    return d_vector_set(psi).vectors == indecomposable_dim_vectors(B)
+    _require_type_a(psi.rs.dynkin)
+    # psi's Gram matrix is a positive companion of B, so B is of psi's type
+    # exactly when its chordless cycles are cyclically oriented (BGZ 2006)
+    chordless_cycles(B, oriented=True)
+    return d_vector_set(psi).vectors == frozenset(
+        _indicator(B.n, path) for path in _string_paths(B)
+    )
 
 
 def _snake_diagonals(n: int) -> tuple[Diagonal, ...]:

@@ -193,12 +193,10 @@ def test_criterion_6_mutation_map_well_defined_in_type_a():
                 for _ in range(2)
             )
             psi3 = transform(psi1, word=word)
-        dset = d_vector_set(psi1)
         for k in range(B.n):
             maps = [mutation_map_inward(psi, B, k) for psi in (psi1, psi2, psi3)]
             assert maps[0] == maps[1] == maps[2], (B.entries, k)
-            for d in dset.vectors:
-                assert phi_in_type_a(B, k, d, dset) == maps[0][d], (B.entries, k, d)
+            assert phi_in_type_a(B, k) == maps[0], (B.entries, k)
     elapsed = time.perf_counter() - start
     report(6, "mutation-map-well-defined", f"20 quivers, all vertices, {elapsed:.1f}s")
 

@@ -343,6 +343,13 @@ def test_root_with_support_string(pendant_basis):
         root_with_support_string(pendant_basis, [0, 1, 0])
 
 
+def test_root_with_support_string_rejects_vertices_out_of_range(pendant_basis):
+    # a negative vertex would otherwise index from the end and read vertex n - 1
+    for walk in ([-1], [4], [0, 1, -1]):
+        with pytest.raises(IndexError, match=r"out of range for n=4$"):
+            root_with_support_string(pendant_basis, walk)
+
+
 def test_string_roots_match_closed_form():
     rng = random.Random(13)
     for T in rng.sample(enumerate_triangulations(5), 12):
@@ -474,35 +481,31 @@ def test_mutation_map_is_basis_independent(pendant_basis, pendant_quiver):
 
 def test_phi_in_type_a_closed_form(pendant_basis, pendant_quiver):
     dset = d_vector_set(pendant_basis)
-    assert phi_in_type_a(pendant_quiver, 1, (1, 1, 1, 0), dset) == (1, 0, 1, 0)
-    # computing the d-vector set internally gives the same answer
-    assert phi_in_type_a(pendant_quiver, 1, (1, 1, 1, 0)) == (1, 0, 1, 0)
+    assert phi_in_type_a(pendant_quiver, 1)[(1, 1, 1, 0)] == (1, 0, 1, 0)
     for k in range(4):
         the_map = mutation_map_inward(pendant_basis, pendant_quiver, k)
-        for d in dset.vectors:
-            assert phi_in_type_a(pendant_quiver, k, d, dset) == the_map[d]
-    with pytest.raises(ValueError, match="not a realised"):
-        phi_in_type_a(pendant_quiver, 1, (1, 1, 1, 1), dset)
-    with pytest.raises(ValueError, match="not a realised"):
-        phi_in_type_a(pendant_quiver, 1, (2, 0, 0, 0), dset)
+        # the map covers exactly the realised d-vectors, as mutation_map_inward does
+        assert phi_in_type_a(pendant_quiver, k) == the_map
+        assert set(the_map) == dset.vectors
+    # vectors that are not realised d-vectors are simply not in the map
+    assert (1, 1, 1, 1) not in phi_in_type_a(pendant_quiver, 1)
+    assert (2, 0, 0, 0) not in phi_in_type_a(pendant_quiver, 1)
     with pytest.raises(IndexError):
-        phi_in_type_a(pendant_quiver, 7, (1, 0, 0, 0), dset)
+        phi_in_type_a(pendant_quiver, 7)
 
 
 def test_phi_in_rejects_non_type_a():
     B = dynkin_orientation("D4")
-    with pytest.raises(ValueError, match="type A"):
-        phi_in_type_a(B, 0, (1, 0, 0, 0))
-    # a supplied d-vector set does not skip the type check
-    dset = d_vector_set(companion_basis_for(B))
-    assert (1, 2, 1, 1) in dset
-    with pytest.raises(ValueError, match="^closed form only holds in type A$"):
-        phi_in_type_a(B, 1, (1, 2, 1, 1), dset)
+    assert (1, 2, 1, 1) in d_vector_set(companion_basis_for(B)).vectors
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="^closed form only holds in type A$"):
+            phi_in_type_a(B, k)
 
 
 def test_unit_dvector_at_source_is_fixed():
     d = (1, 0)
-    assert phi_in_type_a(B_A2, 0, d, d_vector_set(PI_A2)) == d
+    assert phi_in_type_a(B_A2, 0)[d] == d
+    assert phi_in_type_a(B_A2, 0) == mutation_map_inward(PI_A2, B_A2, 0)
 
 
 def test_inward_update_parity_outside_type_a():
@@ -524,6 +527,20 @@ def test_inward_update_equality_in_type_a(pendant_basis, pendant_quiver):
                 pendant_basis, pendant_quiver, k, alpha
             )
             assert exact == estimate
+
+
+def test_inward_update_components_checks_the_vertex_and_the_basis(
+    pendant_basis, pendant_quiver
+):
+    alpha = (1, 1, 0, 0)
+    for k in (-1, 4):
+        with pytest.raises(IndexError, match=rf"^vertex {k} out of range for n=4$"):
+            inward_update_components(pendant_basis, pendant_quiver, k, alpha)
+    d4 = build_root_system(DynkinType("D", 4))
+    with pytest.raises(ValueError, match="^invalid companion basis: "):
+        inward_update_components(
+            CompanionBasis(d4, d4.simple_roots), dynkin_orientation("A4"), 0, alpha
+        )
 
 
 @settings(max_examples=25, deadline=None)

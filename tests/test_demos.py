@@ -1,6 +1,9 @@
-"""Every demo script runs to completion on the library as it stands."""
+"""Every demo script, and README's quick start, runs on the library as it stands."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +27,19 @@ def test_demo_runs_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert proc.stderr == ""
+
+
+def test_readme_quick_start_prints_what_it_says():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README quick start", "exec"), {})
+    assert out.getvalue().splitlines() == [
+        "A4",
+        "[(0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0), (0, 1, 0, 1), "
+        "(0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0)]",
+        "True",
+        "(1, 0, 1, 0)",
+    ]

@@ -5,7 +5,12 @@ from math import comb
 
 import pytest
 
-from companion_bases.companion import CompanionBasis, companion_basis_for, sign_change
+from companion_bases.companion import (
+    CompanionBasis,
+    companion_basis_failure,
+    companion_basis_for,
+    sign_change,
+)
 from companion_bases.quiver import (
     ExchangeMatrix,
     cartan_counterpart,
@@ -13,6 +18,7 @@ from companion_bases.quiver import (
     dynkin_type_of,
     is_cyclically_oriented,
     is_finite_type,
+    mutate,
     satisfies_cycle_sign_condition,
 )
 from companion_bases.root_system import DynkinType, build_root_system
@@ -332,15 +338,86 @@ def test_enumerate_strings_keeps_its_walks_and_order(diagonals, strings):
 DIAMOND = ExchangeMatrix.from_arrows(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)])
 
 
-def test_the_string_count_rejects_two_triangles_sharing_an_edge():
+def test_the_type_check_rejects_two_triangles_sharing_an_edge():
     assert len(relations_of(DIAMOND)) == 6
     for strings in (enumerate_strings, indecomposable_dim_vectors):
-        with pytest.raises(ValueError, match=r"^expected 10 strings, found 11$"):
+        with pytest.raises(ValueError, match=r"^strings need type A, not D4$"):
             strings(DIAMOND)
     psi = companion_basis_for(DIAMOND)
     for basis in (psi, sign_change(psi, {0, 2})):
-        with pytest.raises(ValueError, match=r"^expected 10 strings, found 11$"):
+        with pytest.raises(ValueError, match=r"^strings need type A, not D4$"):
             is_strong_companion_basis(basis, DIAMOND)
+
+
+def mutation_class_sample(label, count, rng):
+    """The standard orientation of label and count quivers reached from it
+    by random mutation walks of 1 to 20 steps."""
+    quivers = [dynkin_orientation(label)]
+    for _ in range(count):
+        B = quivers[0]
+        for _ in range(rng.randrange(1, 21)):
+            B = mutate(B, rng.randrange(B.n))
+        quivers.append(B)
+    return quivers
+
+
+@pytest.mark.parametrize("label", ["D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"])
+def test_strings_and_strongness_refuse_types_d_and_e(label):
+    # the gentle-relations test and the n(n+1)/2 count alone let about half of
+    # these through: on the standard E8 orientation, 36 induced paths against
+    # the 120 indecomposables Gabriel's theorem gives
+    rng = random.Random(f"{label}:not type A")
+    message = rf"^strings need type A, not {label}$"
+    for B in mutation_class_sample(label, 12, rng):
+        for strings in (enumerate_strings, indecomposable_dim_vectors):
+            with pytest.raises(ValueError, match=message):
+                strings(B)
+        with pytest.raises(ValueError, match=message):
+            is_strong_companion_basis(companion_basis_for(B), B)
+
+
+def test_strongness_refuses_a_quiver_that_is_not_of_its_basis_type():
+    # the acyclic triangle 0 -> 1 -> 2, 0 -> 2 has the A3 companion basis
+    # e1, e2, e2 + e3, but its chordless cycle is not cyclically oriented
+    B = ExchangeMatrix.from_arrows(3, [(0, 1), (1, 2), (0, 2)])
+    rs = build_root_system(DynkinType("A", 3))
+    psi = CompanionBasis(rs, ((1, 0, 0), (0, 1, 0), (0, 1, 1)))
+    assert companion_basis_failure(psi, B) is None
+    with pytest.raises(ValueError) as info:
+        is_strong_companion_basis(psi, B)
+    assert_names_a_bad_cycle(B, info.value)
+
+
+def test_strings_refuse_a_quiver_that_is_not_connected():
+    B = ExchangeMatrix.from_arrows(3, [(0, 1)])
+    for strings in (enumerate_strings, indecomposable_dim_vectors):
+        with pytest.raises(ValueError, match=r"^matrix is not connected$"):
+            strings(B)
+
+
+def crossing_vectors(T):
+    """Caldero-Chapoton-Schiffler: the indecomposables of the cluster-tilted
+    algebra of T are one per diagonal not in T, with dimension vector the 0/1
+    indicator of the diagonals of T that it crosses (in sorted order)."""
+    corners = T.n + 3
+    others = [
+        (i, j)
+        for i in range(1, corners + 1)
+        for j in range(i + 2, corners + 1)
+        if (i, j) != (1, corners) and (i, j) not in T.diagonals
+    ]
+    return [tuple(int(diagonals_cross(d, t)) for t in T.diagonals) for d in others]
+
+
+def test_dim_vectors_are_the_crossing_vectors_of_the_diagonals_not_in_t():
+    triangulations = [T for n in range(1, 8) for T in enumerate_triangulations(n)]
+    assert len(triangulations) == 2054
+    rng = random.Random("crossing vectors")
+    triangulations += [random_triangulation(n, rng) for n in range(10, 15) for _ in range(6)]
+    for T in triangulations:
+        vectors = crossing_vectors(T)
+        assert len(set(vectors)) == len(vectors) == T.n * (T.n + 1) // 2
+        assert set(vectors) == indecomposable_dim_vectors(quiver_from_triangulation(T)), T
 
 
 def test_almost_positive_roots_snake():
