@@ -6,8 +6,8 @@ byte-identical.  Vertex indices are 0-based; polygon corners are 1-based.
 
 Exit codes: 0 success, 2 malformed input (also conflicting options and files
 that cannot be read or written), 3 bad vertex index, 4 construction or search
-failure, 5 verification found a counterexample.  Every failure prints one
-"error:" line to stderr.
+failure or invariant violation (RuntimeError), 5 verification found a
+counterexample.  Every failure prints one "error:" line to stderr.
 
 The argument parser (PARSER) is built once, when this module is imported, and
 every main call reuses it; `import companion_bases` does not import this
@@ -22,7 +22,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .companion import (
-    MutationSearchError,
     companion_basis_failure,
     companion_basis_for,
     d_vector_set,
@@ -136,7 +135,7 @@ def cmd_companion(args) -> int:
     B = _load_matrix(args)
     try:
         psi = companion_basis_for(B)
-    except (ValueError, MutationSearchError) as exc:
+    except (ValueError, RuntimeError) as exc:
         raise CommandError(str(exc), EXIT_SEARCH) from None
     _write(args.output, dumps_companion_basis(psi, B))
     return 0

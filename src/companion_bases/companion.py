@@ -16,6 +16,7 @@ from operator import add
 from .intlinalg import det_bareiss, mat_vec
 from .quiver import (
     ExchangeMatrix,
+    _check_vertex,
     _matrix_data,
     dump_json,
     dynkin_type_and_companion,
@@ -35,21 +36,13 @@ from .root_system import (
     apply_automorphism,
     breadth_first,
     build_root_system,
+    diagram_automorphisms,
     graph_isomorphisms,
     lattice_inverse,
     placements,
 )
 
 DVector = tuple[int, ...]
-
-
-class MutationSearchError(RuntimeError):
-    """An invariant violation while constructing a companion basis.
-
-    Raised by companion_basis_for when no roots realize the canonical
-    companion or the realized basis fails its check, and by
-    find_mutation_sequence_to_tree when its search gives out.
-    """
 
 
 class CompanionBasis:
@@ -189,6 +182,13 @@ def is_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
     return companion_basis_failure(psi, B) is None
 
 
+def _require_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> None:
+    """The one basis precondition: ValueError unless psi is a companion basis for B."""
+    failure = companion_basis_failure(psi, B)
+    if failure is not None:
+        raise ValueError(f"invalid companion basis: {failure}")
+
+
 def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
     """Simple roots placed on a quiver that orients a Dynkin diagram.
 
@@ -215,8 +215,7 @@ def sign_change(psi: CompanionBasis, vertices) -> CompanionBasis:
     """Negate the elements at the given vertices, each in 0..n-1; an involution."""
     flip = set(vertices)
     for v in flip:
-        if v not in range(psi.rs.rank):
-            raise IndexError(f"vertex {v} out of range for n={psi.rs.rank}")
+        _check_vertex(v, psi.rs.rank)
     return CompanionBasis._from_ids(
         psi.rs, tuple(~h if x in flip else h for x, h in enumerate(psi.ids))
     )
@@ -226,14 +225,14 @@ def transform(psi: CompanionBasis, word=(), perm=None) -> CompanionBasis:
     """Apply a diagram automorphism then a word of reflections to every element.
 
     Leaves the Gram matrix unchanged, so the result is a companion basis for
-    the same quivers psi serves.  A perm that is not a diagram automorphism
-    raises ValueError.
+    the same quivers psi serves.  A perm of plain ints that is not in
+    diagram_automorphisms raises ValueError.
     """
     rs, ids = psi.rs, psi.ids
     if perm is not None:
-        cartan = rs.cartan
-        if cartan != tuple(tuple(cartan[i][j] for j in perm) for i in perm):
-            raise ValueError(f"{tuple(perm)} is not a diagram automorphism of {rs.dynkin}")
+        perm = tuple(perm)
+        if perm not in diagram_automorphisms(rs.dynkin) or not set(map(type, perm)) <= {int}:
+            raise ValueError(f"{perm} is not a diagram automorphism of {rs.dynkin}")
         ids = tuple(rs.locate(apply_automorphism(perm, g)) for g in psi.gamma)
     for letter in word:
         if not rs.is_root(letter):
@@ -262,19 +261,16 @@ def _mutate_basis(
 ) -> tuple[CompanionBasis, ExchangeMatrix]:
     """mutate_inward or mutate_outward: the pair (mutated psi, mutate(B, k)).
 
-    Checks that k is a vertex and psi a companion basis for B, then reflects
-    in gamma_k the elements at the tails of arrows into k (inward) or at the
-    heads of arrows out of k (outward), on their handles.
+    Checks k (in mutate) before psi, then reflects in gamma_k the elements at
+    the tails of arrows into k (inward) or at the heads of arrows out of k
+    (outward), on their handles.
 
     Each reflection gamma_x - (gamma_x, gamma_k) gamma_k with x != k is an
     elementary column operation, so the result keeps psi's determinant +-1
     and is flagged unimodular.
     """
-    if not 0 <= k < B.n:
-        raise IndexError(f"vertex {k} out of range for n={B.n}")
-    failure = companion_basis_failure(psi, B)
-    if failure is not None:
-        raise ValueError(f"invalid companion basis: {failure}")
+    mutated_B = mutate(B, k)
+    _require_companion_basis(psi, B)
     rs = psi.rs
     h_k = psi.ids[k]
     # entry x is positive when x is a tail (inward) or a head (outward)
@@ -282,7 +278,7 @@ def _mutate_basis(
     ids = tuple(rs.reflect_handle(h, h_k) if b > 0 else h for h, b in zip(psi.ids, arrows))
     mutated = CompanionBasis._from_ids(rs, ids)
     mutated._unimodular = True
-    return mutated, mutate(B, k)
+    return mutated, mutated_B
 
 
 class DVectorSet:
@@ -346,8 +342,7 @@ def root_with_support_string(psi: CompanionBasis, walk) -> Root:
     if not walk:
         raise ValueError("walk is empty")
     for x in walk:
-        if x not in range(psi.rs.rank):
-            raise IndexError(f"vertex {x} out of range for n={psi.rs.rank}")
+        _check_vertex(x, psi.rs.rank)
     if len(set(walk)) != len(walk):
         raise ValueError("walk revisits a vertex")
     rs = psi.rs
@@ -371,7 +366,7 @@ def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> lis
     Breadth-first over the mutation class with exact-matrix dedup; the search
     stops at the first tree, but its cost still grows exponentially with rank.
     Input that is not of finite type or not connected raises ValueError
-    before the search starts; exhausting the cap raises MutationSearchError.
+    before the search starts; exhausting the cap raises RuntimeError.
     """
     failure = finite_type_failure(B)
     if failure is not None:
@@ -402,10 +397,8 @@ def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> lis
             seen.add(child)
             queue.append((child, path + (k,)))
             if len(seen) > cap:
-                raise MutationSearchError(
-                    "mutation search exhausted; matrix is not of finite type"
-                )
-    raise MutationSearchError("mutation class contains no tree")
+                raise RuntimeError("mutation search exhausted; matrix is not of finite type")
+    raise RuntimeError("mutation class contains no tree")
 
 
 def _gram_realization(rs: RootSystem, A) -> tuple[int, ...] | None:
@@ -473,19 +466,19 @@ def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
     are a Z-basis: the basis is flagged unimodular, and its check runs only
     the pair scan.  Standard orientations of Dynkin diagrams get exactly the
     simple roots.  Raises ValueError on input that is not connected or not of
-    finite type.
+    finite type; an invariant violation raises RuntimeError.
     """
     dynkin, A = dynkin_type_and_companion(B)
     rs = build_root_system(dynkin)
     ids = _gram_realization(rs, A)
     if ids is None:
-        raise MutationSearchError(f"no roots of {dynkin} realize the companion")
+        raise RuntimeError(f"no roots of {dynkin} realize the companion")
     psi = CompanionBasis._from_ids(rs, ids)
     # Gram = A entry for entry, and the type was chosen with det C = |det A|
     psi._unimodular = True
     failure = companion_basis_failure(psi, B)
     if failure is not None:
-        raise MutationSearchError(f"realized basis is invalid: {failure}")
+        raise RuntimeError(f"realized basis is invalid: {failure}")
     return psi
 
 
@@ -513,11 +506,8 @@ def inward_update_components(
     type A the two agree on realised d-vectors.  Raises IndexError unless k
     is a vertex and ValueError unless psi is a companion basis for B.
     """
-    if not 0 <= k < B.n:
-        raise IndexError(f"vertex {k} out of range for n={B.n}")
-    failure = companion_basis_failure(psi, B)
-    if failure is not None:
-        raise ValueError(f"invalid companion basis: {failure}")
+    _check_vertex(k, B.n)
+    _require_companion_basis(psi, B)
     coeffs = psi.expand(alpha)
     form = psi.rs.form
     h_k = psi.ids[k]
@@ -534,8 +524,7 @@ def phi_in_type_a(B: ExchangeMatrix, k: int) -> dict[DVector, DVector]:
     |-d_k + sum of d_x over arrows x -> k|.  Builds one companion basis for
     B, whose type must be A.
     """
-    if not 0 <= k < B.n:
-        raise IndexError(f"vertex {k} out of range for n={B.n}")
+    _check_vertex(k, B.n)
     psi = companion_basis_for(B)
     if psi.rs.dynkin.family != "A":
         raise ValueError("closed form only holds in type A")

@@ -71,7 +71,7 @@ class ExchangeMatrix:
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
-                and all(_is_int(v) and 0 <= v < n for v in pair)
+                and all(type(v) is int and 0 <= v < n for v in pair)
                 and pair[0] != pair[1]
             ):
                 raise ValueError(f"bad arrow {pair!r}")
@@ -132,14 +132,19 @@ def mutate_entries(rows, k: int):
     return tuple(new)
 
 
+def _check_vertex(v, n: int) -> None:
+    """The one vertex rule: IndexError unless v is a plain int (not a bool) in 0..n-1."""
+    if type(v) is not int or not 0 <= v < n:
+        raise IndexError(f"vertex {v} out of range for n={n}")
+
+
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at vertex k; an involution preserving skew-symmetry.
 
-    k is range-checked; the result is not rechecked for skew-symmetry, since
+    k is checked; the result is not rechecked for skew-symmetry, since
     mutate_entries keeps a skew-symmetric B skew-symmetric by construction.
     """
-    if not 0 <= k < B.n:
-        raise IndexError(f"vertex {k} out of range for n={B.n}")
+    _check_vertex(k, B.n)
     return ExchangeMatrix._trusted(mutate_entries(B.entries, k))
 
 
@@ -222,6 +227,8 @@ def cycle_edges(cycle) -> list[tuple]:
 
 def is_cyclically_oriented(B: ExchangeMatrix, cycle) -> bool:
     """Whether the arrows along a chordless cycle all run one way."""
+    for v in cycle:
+        _check_vertex(v, B.n)
     forward = 0
     for u, v in cycle_edges(cycle):
         if B.entries[u][v] == 0:
@@ -320,6 +327,8 @@ def simultaneous_sign_change(A, vertices) -> SymMatrix:
     """Flip the sign of rows and columns in the given vertex set at once."""
     n = len(A)
     flip = set(vertices)
+    for v in flip:
+        _check_vertex(v, n)
     sign = [-1 if x in flip else 1 for x in range(n)]
     return tuple(
         tuple(sign[x] * sign[y] * A[x][y] for y in range(n)) for x in range(n)
@@ -407,10 +416,6 @@ def dumps_exchange_matrix(B: ExchangeMatrix) -> str:
     return dump_json(_matrix_data(B))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def int_rows(value, n_rows: int, n_cols: int, name: str) -> tuple[tuple[int, ...], ...]:
     """A JSON list of n_rows lists of n_cols integers, as a tuple of tuples.
 
@@ -442,6 +447,16 @@ def dump_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _rank_field(data: dict) -> int:
+    """data["n"] of a quiver or triangulation document: a positive int up to MAX_RANK."""
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError("'n' must be a positive integer")
+    if n > MAX_RANK:
+        raise ValueError(f"'n' is {n}, above the cap of {MAX_RANK} vertices")
+    return n
+
+
 def loads_exchange_matrix(text: str) -> ExchangeMatrix:
     """Read {"n": int, "b": [[int]]} or {"n": int, "arrows": [[s,t]]}."""
     return exchange_matrix_from_data(load_json(text))
@@ -451,11 +466,7 @@ def exchange_matrix_from_data(data) -> ExchangeMatrix:
     """The exchange matrix of a parsed JSON value; see loads_exchange_matrix."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("expected an object with an 'n' field")
-    n = data["n"]
-    if not _is_int(n) or n < 1:
-        raise ValueError("'n' must be a positive integer")
-    if n > MAX_RANK:
-        raise ValueError(f"'n' is {n}, above the cap of {MAX_RANK} vertices")
+    n = _rank_field(data)
     if "b" in data:
         return ExchangeMatrix(int_rows(data["b"], n, n, "b"))
     if "arrows" in data:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .companion import CompanionBasis, DVector, companion_basis_failure, d_vector_set
+from .companion import CompanionBasis, DVector, _require_companion_basis, d_vector_set
 from .quiver import (
     ExchangeMatrix,
-    _is_int,
+    _check_vertex,
+    _rank_field,
     chordless_cycles,
     cycle_edges,
     dump_json,
@@ -59,6 +60,8 @@ class Triangulation:
     diagonals: tuple[Diagonal, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
         diagonals = tuple(sorted(_check_diagonal(self.n, d) for d in self.diagonals))
         object.__setattr__(self, "diagonals", diagonals)
         if len(set(diagonals)) != self.n:
@@ -204,6 +207,8 @@ def is_string(B: ExchangeMatrix, walk: StringWalk) -> bool:
     A walk needs exactly one direction per consecutive pair of vertices.
     """
     vs = walk.vertices
+    for v in vs:
+        _check_vertex(v, B.n)
     if len(set(vs)) != len(vs) or not vs or len(walk.directions) != len(vs) - 1:
         return False
     for i, u in enumerate(vs):
@@ -271,9 +276,7 @@ def indecomposable_dim_vectors(B: ExchangeMatrix) -> frozenset[DVector]:
 
 def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
     """Whether the d-vectors over psi equal the string-module dimension vectors."""
-    failure = companion_basis_failure(psi, B)
-    if failure is not None:
-        raise ValueError(f"invalid companion basis: {failure}")
+    _require_companion_basis(psi, B)
     _require_type_a(psi.rs.dynkin)
     # psi's Gram matrix is a positive companion of B, so B is of psi's type
     # exactly when its chordless cycles are cyclically oriented (BGZ 2006)
@@ -319,14 +322,13 @@ def dumps_triangulation(T: Triangulation) -> str:
 def loads_triangulation(text: str) -> Triangulation:
     """Read {"n": int, "diagonals": [[int, int]]}, with n diagonals.
 
-    Raises ValueError on anything else: entries that are not plain integers
+    Raises ValueError on anything else: an n that the exchange-matrix reader
+    would refuse (quiver._rank_field), entries that are not plain integers
     (floats, strings and booleans are never coerced), nesting too deep to
     parse, and diagonals that do not triangulate the (n+3)-gon.
     """
     data = load_json(text)
     if not isinstance(data, dict) or "n" not in data or "diagonals" not in data:
         raise ValueError("expected an object with n and diagonals fields")
-    n = data["n"]
-    if not _is_int(n):
-        raise ValueError("'n' must be an integer")
+    n = _rank_field(data)
     return Triangulation(n, int_rows(data["diagonals"], n, 2, "diagonals"))
