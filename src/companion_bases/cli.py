@@ -40,8 +40,8 @@ from .quiver import (
 from .root_system import DynkinType, parse_int
 from .type_a import (
     Triangulation,
+    _string_comparison,
     enumerate_triangulations,
-    is_strong_companion_basis,
     quiver_from_triangulation,
     random_triangulation,
 )
@@ -164,14 +164,18 @@ def cmd_dvectors(args) -> int:
 
 def _verify_one(T: Triangulation) -> dict:
     B = quiver_from_triangulation(T)
-    psi = companion_basis_for(B)
+    # companion_basis_for has checked the basis and walked B's chordless cycles
+    strong, n_strings = _string_comparison(companion_basis_for(B), B)
     return {
         "diagonals": [list(d) for d in T.diagonals],
         "quiver": _matrix_data(B),
-        # a type-A quiver has n(n+1)/2 strings, one per positive root
-        "strong": is_strong_companion_basis(psi, B),
-        "n_strings": B.n * (B.n + 1) // 2,
+        "strong": strong,
+        "n_strings": n_strings,
     }
+
+
+def _verify_all(triangulations) -> list[dict]:
+    return [_verify_one(T) for T in triangulations]
 
 
 def cmd_verify_type_a(args) -> int:
@@ -189,11 +193,20 @@ def cmd_verify_type_a(args) -> int:
         rng = random.Random(seed)
         triangulations = [random_triangulation(n, rng) for _ in range(count)]
     workers = min(jobs, len(triangulations))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_verify_one, triangulations))
-    else:
-        records = [_verify_one(T) for T in triangulations]
+    try:
+        if workers > 1:
+            # about four chunks per worker: at n = 8 a round trip per
+            # triangulation costs two workers more than the second one saves
+            size = max(1, len(triangulations) // (4 * workers))
+            chunks = [
+                triangulations[i : i + size] for i in range(0, len(triangulations), size)
+            ]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = [r for chunk in pool.map(_verify_all, chunks) for r in chunk]
+        else:
+            records = _verify_all(triangulations)
+    except (ValueError, RuntimeError) as exc:
+        raise CommandError(str(exc), EXIT_SEARCH) from None
     records.sort(key=lambda r: r["diagonals"])
     lines = [dump_json(r) for r in records]
     summary = {

@@ -65,7 +65,12 @@ class ExchangeMatrix:
 
     @classmethod
     def from_arrows(cls, n: int, arrows) -> ExchangeMatrix:
-        """Arrows (s, t) of distinct plain ints in 0..n-1 add up; opposite ones cancel."""
+        """Arrows (s, t) of distinct plain ints in 0..n-1 add up; opposite ones cancel.
+
+        n must be a plain int >= 0 (no bool).
+        """
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be a non-negative integer, not {n!r}")
         rows = [[0] * n for _ in range(n)]
         for pair in arrows:
             if not (
@@ -155,7 +160,8 @@ def mutate_sequence(B: ExchangeMatrix, ks) -> ExchangeMatrix:
 
 
 def is_connected(B: ExchangeMatrix) -> bool:
-    return B.n == 0 or len(breadth_first(B.neighbours, 0)[0]) == B.n
+    """Whether the underlying graph is connected; the 0-vertex graph is not."""
+    return B.n > 0 and len(breadth_first(B.neighbours, 0)[0]) == B.n
 
 
 def induced_paths(neighbours, start: int, floor: int):

@@ -51,12 +51,14 @@ class DynkinType:
     rank: int
 
     def __post_init__(self):
+        # a bool, float or other non-int rank is refused like rank 0
+        rank = self.rank if type(self.rank) is int else 0
         if self.family == "A":
-            ok = self.rank >= 1
+            ok = rank >= 1
         elif self.family == "D":
-            ok = self.rank >= 4
+            ok = rank >= 4
         elif self.family == "E":
-            ok = self.rank in (6, 7, 8)
+            ok = rank in (6, 7, 8)
         else:
             raise ValueError(f"unknown family {self.family!r}")
         if not ok:
@@ -134,7 +136,6 @@ class RootSystem:
 
     def __init__(self, dynkin: DynkinType):
         self.dynkin = dynkin
-        self.cartan = dynkin.cartan_matrix()
         self._neighbours = dynkin.adjacency()
         n = dynkin.rank
         self.simple_roots: tuple[Root, ...] = tuple(
@@ -179,7 +180,7 @@ class RootSystem:
         ]
 
     def inner(self, a, b) -> int:
-        """Bilinear form a . cartan . b; equals 2 on every root."""
+        """Bilinear form a . C b, C the Cartan matrix; equals 2 on every root."""
         if len(a) != self.rank or len(b) != self.rank:
             raise ValueError("dimension mismatch")
         return sum(x * y for x, y in zip(a, self._image(b)))

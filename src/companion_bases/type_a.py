@@ -36,6 +36,12 @@ ArrowPair = tuple[tuple[int, int], tuple[int, int]]
 ENUMERATION_CAP = 9  # largest n that enumerate_triangulations accepts
 
 
+def _check_n(n) -> None:
+    """The polygon size rule: ValueError unless n is a plain int (no bool) >= 1."""
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be positive")
+
+
 def _check_diagonal(n: int, d) -> Diagonal:
     corners = n + 3
     i, j = d
@@ -60,8 +66,7 @@ class Triangulation:
     diagonals: tuple[Diagonal, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _check_n(self.n)
         diagonals = tuple(sorted(_check_diagonal(self.n, d) for d in self.diagonals))
         object.__setattr__(self, "diagonals", diagonals)
         if len(set(diagonals)) != self.n:
@@ -90,8 +95,7 @@ def _non_crossing(diagonals) -> bool:
 
 def enumerate_triangulations(n: int) -> list[Triangulation]:
     """All triangulations of the (n+3)-gon; there are Catalan(n+1) of them."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_n(n)
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} above the enumeration cap {ENUMERATION_CAP}")
     corners = n + 3
@@ -118,6 +122,7 @@ def catalan(m: int) -> int:
 
 def random_triangulation(n: int, rng: random.Random) -> Triangulation:
     """Uniformly random triangulation, drawn by Catalan-weighted apex choices."""
+    _check_n(n)
     split: list[Diagonal] = []
     stack = [(1, n + 3)]
     while stack:
@@ -209,17 +214,14 @@ def is_string(B: ExchangeMatrix, walk: StringWalk) -> bool:
     vs = walk.vertices
     for v in vs:
         _check_vertex(v, B.n)
-    if len(set(vs)) != len(vs) or not vs or len(walk.directions) != len(vs) - 1:
+    if len(set(vs)) != len(vs) or not vs:
         return False
     for i, u in enumerate(vs):
         for j in range(i + 1, len(vs)):
             joined = B.entries[u][vs[j]] != 0
             if joined != (j == i + 1):
                 return False
-    return all(
-        d == (1 if B.entries[u][v] > 0 else -1)
-        for (u, v), d in zip(zip(vs, vs[1:]), walk.directions)
-    )
+    return _walk_from_vertices(B, vs).directions == tuple(walk.directions)
 
 
 def _require_type_a(dynkin: DynkinType) -> None:
@@ -281,9 +283,13 @@ def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
     # psi's Gram matrix is a positive companion of B, so B is of psi's type
     # exactly when its chordless cycles are cyclically oriented (BGZ 2006)
     chordless_cycles(B, oriented=True)
-    return d_vector_set(psi).vectors == frozenset(
-        _indicator(B.n, path) for path in _string_paths(B)
-    )
+    return _string_comparison(psi, B)[0]
+
+
+def _string_comparison(psi: CompanionBasis, B: ExchangeMatrix) -> tuple[bool, int]:
+    """(strong, strings walked); callers check psi and that B is of type A."""
+    paths = _string_paths(B)
+    return d_vector_set(psi).vectors == {_indicator(B.n, p) for p in paths}, len(paths)
 
 
 def _snake_diagonals(n: int) -> tuple[Diagonal, ...]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from companion_bases import cli, quiver, type_a
+from companion_bases import cli, companion, quiver, type_a
 from companion_bases.cli import main
 from companion_bases.companion import loads_companion_basis, is_companion_basis
 from companion_bases.intlinalg import det_bareiss
@@ -388,6 +388,73 @@ def test_verify_type_a_starts_no_more_workers_than_triangulations(
     assert serial_pool == workers
 
 
+def test_verify_type_a_counts_the_strings_it_compares(capsys, monkeypatch):
+    original = type_a._string_paths
+    monkeypatch.setattr(type_a, "_string_paths", lambda B: original(B)[1:])
+    assert run(["verify-type-a", "--n", 3]) == 5
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines[-1]["total"] == 14 and lines[-1]["strong"] == 0
+    assert all(r["n_strings"] == 3 * 4 // 2 - 1 and not r["strong"] for r in lines[:-1])
+
+
+def test_verify_type_a_walks_the_chordless_cycles_once_per_triangulation(
+    capsys, monkeypatch
+):
+    walks = []
+    original = quiver._cycle_walk
+
+    def counting(B):
+        walks.append(B)
+        return original(B)
+
+    monkeypatch.setattr(quiver, "_cycle_walk", counting)
+    assert run(["verify-type-a", "--n", 4]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["total"] == 42
+    assert len(walks) == 42
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_type_a_exits_4_on_a_construction_failure(
+    capsys, monkeypatch, serial_pool, jobs
+):
+    monkeypatch.setattr(companion, "_gram_realization", lambda rs, A: None)
+    assert run(["verify-type-a", "--n", 2, "--jobs", jobs]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no roots of A2 realize the companion\n"
+    assert serial_pool == ([2] if jobs == 2 else [])
+
+
+def test_verify_type_a_sends_the_pool_about_four_chunks_per_worker(
+    capsys, monkeypatch
+):
+    chunks = []
+
+    class ChunkRecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            chunks.extend(items)
+            return map(fn, items)
+
+    assert run(["verify-type-a", "--n", 4]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", ChunkRecordingPool)
+    assert run(["verify-type-a", "--n", 4, "--jobs", 2]) == 0
+    assert capsys.readouterr().out == serial
+    # 42 triangulations over 2 workers: chunks of 42 // 8 = 5, in order
+    assert [len(chunk) for chunk in chunks] == [5] * 8 + [2]
+    flat = [T for chunk in chunks for T in chunk]
+    assert flat == type_a.enumerate_triangulations(4)
+
+
 def test_type_flag_generates_standard_orientation(tmp_path, capsys):
     assert run(["recognize", "--type", "E7"]) == 0
     assert json.loads(capsys.readouterr().out) == {
@@ -684,10 +751,13 @@ def cli_script(tmp_path, pendant_file, monkeypatch):
 
     Strongness is reported false on rank 2 only, so that verify-type-a --n 2
     exits 5 while other ranks pass."""
-    strong = cli.is_strong_companion_basis
-    monkeypatch.setattr(
-        cli, "is_strong_companion_basis", lambda psi, B: B.n != 2 and strong(psi, B)
-    )
+    compare = cli._string_comparison
+
+    def failing_on_rank_2(psi, B):
+        strong, n_strings = compare(psi, B)
+        return B.n != 2 and strong, n_strings
+
+    monkeypatch.setattr(cli, "_string_comparison", failing_on_rank_2)
     files = {
         "square": '{"n": 4, "arrows": [[0, 1], [1, 2], [3, 2], [0, 3]]}',
         "disconnected": '{"n": 3, "arrows": [[0, 1]]}',

@@ -692,6 +692,7 @@ def test_constructor_rejects_a_non_root_in_a_walked_basis(label):
 def gram_realization_by_dot_products(rs, A):
     """The realization backtracking on coordinate vectors, one dot product per test."""
     n = rs.rank
+    cartan = rs.dynkin.cartan_matrix()
     order = [0]
     seen = {0}
     for v in order:
@@ -718,7 +719,7 @@ def gram_realization_by_dot_products(rs, A):
             ):
                 gamma[v] = alpha
                 images[v] = tuple(
-                    sum(r * a for r, a in zip(row, alpha)) for row in rs.cartan
+                    sum(r * a for r, a in zip(row, alpha)) for row in cartan
                 )
                 if extend(pos + 1):
                     return True

@@ -1,5 +1,5 @@
-"""One error model: one vertex rule, one perm rule, one basis precondition,
-and RuntimeError for every invariant violation.
+"""One error model: one vertex rule, one size rule, one perm rule, one basis
+precondition, and RuntimeError for every invariant violation.
 
 A vertex is a plain int in 0..n-1; anything else raises
 IndexError("vertex v out of range for n=N") from the one check in
@@ -31,15 +31,18 @@ from companion_bases.companion import (
 from companion_bases.quiver import (
     ExchangeMatrix,
     canonical_companion,
+    dynkin_type_of,
     is_cyclically_oriented,
     loads_exchange_matrix,
     mutate,
+    recognize,
     simultaneous_sign_change,
 )
 from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
     StringWalk,
     Triangulation,
+    enumerate_triangulations,
     is_string,
     loads_triangulation,
     random_triangulation,
@@ -178,3 +181,50 @@ def test_both_readers_share_one_rank_rule(n, message):
         loads_exchange_matrix(f'{{"n": {n}, "arrows": []}}')
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         loads_triangulation(f'{{"n": {n}, "diagonals": []}}')
+
+
+# a bool or float size was read as an int (True as 1, 2.0 as 2) or failed
+# deep inside with a bare TypeError
+BAD_SIZES = [True, False, 2.0, 1.5, "2", None]
+
+
+class UntouchedRandom(random.Random):
+    """A generator that fails if a draw is made from it."""
+
+    def choices(self, *args, **kwargs):
+        raise AssertionError("drew from the generator before checking n")
+
+
+@pytest.mark.parametrize("n", BAD_SIZES)
+def test_a_polygon_size_is_a_plain_positive_int(n):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        Triangulation(n, [(1, 3)])
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        enumerate_triangulations(n)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        random_triangulation(n, UntouchedRandom(0))
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("A", n) for n in BAD_SIZES] + [("D", 4.5), ("D", 5.0), ("E", 6.0), ("E", 8.0)],
+)
+def test_a_dynkin_rank_is_a_plain_int(family, rank):
+    message = f"invalid rank {rank} for family {family}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DynkinType(family, rank)
+
+
+@pytest.mark.parametrize("n", [-1, -5, *BAD_SIZES])
+def test_from_arrows_takes_a_plain_non_negative_int(n):
+    with pytest.raises(ValueError, match="^n must be a non-negative integer"):
+        ExchangeMatrix.from_arrows(n, [])
+    assert ExchangeMatrix.from_arrows(0, []).n == 0
+
+
+def test_the_empty_matrix_has_no_dynkin_type():
+    empty = ExchangeMatrix(())
+    assert recognize(empty) == (None, None)
+    for entry in (dynkin_type_of, companion_basis_for):
+        with pytest.raises(ValueError, match="^matrix is not connected$"):
+            entry(empty)
