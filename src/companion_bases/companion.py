@@ -64,9 +64,15 @@ class CompanionBasis:
     companion_basis_for, on a basis whose Gram matrix it realized as a
     positive companion of the recognised type's determinant.  `_set` resets
     both, so every constructor yields a basis that knows neither.
+
+    `_recognized` is the ExchangeMatrix object recognised as of the basis's
+    type: set by companion_basis_for and initial_companion_basis to their B,
+    by _mutate_basis to mutate(B, k) when it was B (mutation keeps the type),
+    cleared by `_set`.  is_strong_companion_basis(psi, B) skips its cycle walk
+    only when `psi._recognized is B`.
     """
 
-    __slots__ = ("rs", "ids", "_gamma", "_inverse", "_checked", "_unimodular")
+    __slots__ = ("rs", "ids", "_gamma", "_inverse", "_checked", "_unimodular", "_recognized")
 
     def __init__(self, rs: RootSystem, gamma):
         gamma = [tuple(g) for g in gamma]
@@ -83,7 +89,7 @@ class CompanionBasis:
 
     def _set(self, rs: RootSystem, ids: tuple[int, ...]) -> None:
         self.rs, self.ids = rs, ids
-        self._gamma = self._inverse = self._checked = None
+        self._gamma = self._inverse = self._checked = self._recognized = None
         self._unimodular = False
 
     @property
@@ -208,7 +214,9 @@ def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
     if image is None:
         raise ValueError("quiver is not an orientation of the Dynkin diagram")
     rs = build_root_system(dynkin)
-    return CompanionBasis._from_ids(rs, tuple(rs.simple_first[i] for i in image))
+    psi = CompanionBasis._from_ids(rs, tuple(rs.simple_first[i] for i in image))
+    psi._recognized = B
+    return psi
 
 
 def sign_change(psi: CompanionBasis, vertices) -> CompanionBasis:
@@ -278,6 +286,8 @@ def _mutate_basis(
     ids = tuple(rs.reflect_handle(h, h_k) if b > 0 else h for h, b in zip(psi.ids, arrows))
     mutated = CompanionBasis._from_ids(rs, ids)
     mutated._unimodular = True
+    if psi._recognized is B:
+        mutated._recognized = mutated_B
     return mutated, mutated_B
 
 
@@ -293,10 +303,10 @@ class DVectorSet:
         self.vectors = frozenset(by_root.values())
         if len(self.vectors) != len(by_root):
             raise RuntimeError("duplicate d-vector: invariant violation")
-        self._root_of = {d: r for r, d in by_root.items()}
 
     def root_of(self, d: DVector) -> Root:
-        return self._root_of[tuple(d)]
+        """The root whose d-vector is d; KeyError if there is none."""
+        return dict(zip(self.by_root.values(), self.by_root))[tuple(d)]
 
     def sorted_vectors(self) -> list[DVector]:
         return sorted(self.vectors)
@@ -304,7 +314,7 @@ class DVectorSet:
     def sorted_items(self) -> list[tuple[DVector, Root]]:
         """(d-vector, root) pairs in the order of sorted_vectors."""
         # d-vectors are distinct, so the sort never compares roots
-        return sorted(self._root_of.items())
+        return sorted(zip(self.by_root.values(), self.by_root))
 
     def __len__(self):
         return len(self.by_root)
@@ -476,6 +486,7 @@ def companion_basis_for(B: ExchangeMatrix) -> CompanionBasis:
     psi = CompanionBasis._from_ids(rs, ids)
     # Gram = A entry for entry, and the type was chosen with det C = |det A|
     psi._unimodular = True
+    psi._recognized = B
     failure = companion_basis_failure(psi, B)
     if failure is not None:
         raise RuntimeError(f"realized basis is invalid: {failure}")

@@ -296,7 +296,9 @@ def canonical_companion(B: ExchangeMatrix) -> SymMatrix:
 
 def _signed_companion(B: ExchangeMatrix, cycles) -> SymMatrix:
     """canonical_companion for the given cyclically oriented chordless cycles."""
-    edges = B.underlying_edges()
+    # ascending (x, y), as underlying_edges lists them: the order numbers the
+    # GF(2) variables, so it fixes the signs
+    edges = [(x, y) for x, adj in enumerate(B.neighbours) for y in sorted(adj) if y > x]
     edge_index = {e: i for i, e in enumerate(edges)}
     equations = []
     for cycle in cycles:

@@ -62,7 +62,7 @@ class DynkinType:
         else:
             raise ValueError(f"unknown family {self.family!r}")
         if not ok:
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}")
+            raise ValueError(f"invalid rank {self.rank!r} for family {self.family}")
 
     @classmethod
     def parse(cls, text: str) -> DynkinType:

@@ -183,11 +183,23 @@ class StringWalk:
     """A walk whose vertices are joined by an arrow exactly when consecutive.
 
     directions[i] is +1 when the arrow runs vertices[i] -> vertices[i+1] and
-    -1 the other way; empty for the trivial walk at one vertex.
+    -1 the other way; empty for the trivial walk at one vertex.  Both fields
+    are tuples, and a direction is the plain int 1 or -1 (True and 1.0 raise
+    ValueError); the vertices are checked against a quiver by is_string.
     """
 
     vertices: tuple[int, ...]
     directions: tuple[int, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.vertices, tuple):
+            raise ValueError(f"walk vertices must be a tuple, not {self.vertices!r}")
+        if not isinstance(self.directions, tuple) or not all(
+            type(d) is int and d in (1, -1) for d in self.directions
+        ):
+            raise ValueError(
+                f"walk directions must be a tuple of 1 and -1, not {self.directions!r}"
+            )
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
@@ -221,7 +233,7 @@ def is_string(B: ExchangeMatrix, walk: StringWalk) -> bool:
             joined = B.entries[u][vs[j]] != 0
             if joined != (j == i + 1):
                 return False
-    return _walk_from_vertices(B, vs).directions == tuple(walk.directions)
+    return _walk_from_vertices(B, vs).directions == walk.directions
 
 
 def _require_type_a(dynkin: DynkinType) -> None:
@@ -281,8 +293,10 @@ def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
     _require_companion_basis(psi, B)
     _require_type_a(psi.rs.dynkin)
     # psi's Gram matrix is a positive companion of B, so B is of psi's type
-    # exactly when its chordless cycles are cyclically oriented (BGZ 2006)
-    chordless_cycles(B, oriented=True)
+    # exactly when its chordless cycles are cyclically oriented (BGZ 2006);
+    # a basis recognised as this very B has walked them already
+    if psi._recognized is not B:
+        chordless_cycles(B, oriented=True)
     return _string_comparison(psi, B)[0]
 
 

@@ -89,6 +89,33 @@ def test_every_vertex_argument_follows_the_one_rule(name, v):
         VERTEX_CALLS[name](v)
 
 
+@pytest.mark.parametrize("direction", [True, 1.0, False, -1.0, 0, 2, "1", None])
+def test_a_walk_direction_is_a_plain_one_or_minus_one(direction):
+    # True and 1.0 were read as the direction +1 of the arrow 0 -> 1
+    message = f"walk directions must be a tuple of 1 and -1, not {(direction,)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StringWalk((0, 1), (direction,))
+    walk = StringWalk((0, 1), (1,))
+    assert is_string(A4, walk) and string_dim_vector(A4, walk) == (1, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "vertices, directions, field",
+    [
+        ((0, 1), None, "directions"),
+        ((0, 1), [1], "directions"),
+        (None, (), "vertices"),
+        ([0, 1], (1,), "vertices"),
+        (0, (), "vertices"),
+    ],
+)
+def test_a_walk_holds_two_tuples(vertices, directions, field):
+    # a walk without directions failed with a bare TypeError
+    bad = repr(directions if field == "directions" else vertices)
+    with pytest.raises(ValueError, match=f"^walk {field} must be a tuple.*, not {re.escape(bad)}$"):
+        StringWalk(vertices, directions)
+
+
 @pytest.mark.parametrize("cycle", [(-3, 1, 2), (0, 1, 7), (0, True, 2), (0, 1, 2.0)])
 def test_is_cyclically_oriented_follows_the_one_rule(cycle):
     bad = next(v for v in cycle if type(v) is not int or not 0 <= v < 3)
@@ -210,9 +237,17 @@ def test_a_polygon_size_is_a_plain_positive_int(n):
     [("A", n) for n in BAD_SIZES] + [("D", 4.5), ("D", 5.0), ("E", 6.0), ("E", 8.0)],
 )
 def test_a_dynkin_rank_is_a_plain_int(family, rank):
-    message = f"invalid rank {rank} for family {family}"
+    message = f"invalid rank {rank!r} for family {family}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DynkinType(family, rank)
+
+
+def test_a_refused_rank_is_named_as_it_was_given():
+    # the string "2" is refused, and the message says it was not the int 2
+    with pytest.raises(ValueError, match="^invalid rank '2' for family A$"):
+        DynkinType("A", "2")
+    with pytest.raises(ValueError, match="^invalid rank 3 for family D$"):
+        DynkinType("D", 3)
 
 
 @pytest.mark.parametrize("n", [-1, -5, *BAD_SIZES])

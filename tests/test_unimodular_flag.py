@@ -11,6 +11,11 @@ scan fails on it.
 A held inverse (`_inverse`) proves det = +-1 as well, since lattice_inverse
 raises on any other determinant, so the same scan also allows only `_set`
 and `CompanionBasis.inverse` to assign that slot.
+
+The recognised quiver (`_recognized`) lets the strongness check skip its
+chordless-cycle walk, which is sound only for a quiver that recognition
+walked (companion_basis_for, initial_companion_basis) or a mutation of it
+(_mutate_basis, since mutation keeps the Dynkin type); `_set` clears it.
 """
 
 import ast
@@ -91,6 +96,18 @@ def test_the_inverse_is_assigned_only_by_the_reset_and_by_inverse():
     assert sorted(found, key=str) == [
         ("companion.CompanionBasis._set", None),
         ("companion.CompanionBasis.inverse", None),
+    ]
+
+
+def test_the_recognised_quiver_is_assigned_only_by_recognition_and_mutation():
+    # is_strong_companion_basis skips its cycle walk for the quiver held here
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    found = [item for path in modules for item in flag_assignments(path, "_recognized")]
+    assert sorted(found, key=str) == [
+        ("companion.CompanionBasis._set", None),
+        ("companion._mutate_basis", None),
+        ("companion.companion_basis_for", None),
+        ("companion.initial_companion_basis", None),
     ]
 
 
