@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .companion import (
     companion_basis_failure,
@@ -201,6 +200,9 @@ def cmd_verify_type_a(args) -> int:
             chunks = [
                 triangulations[i : i + size] for i in range(0, len(triangulations), size)
             ]
+            # imported here: it brings multiprocessing, which no other command uses
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = [r for chunk in pool.map(_verify_all, chunks) for r in chunk]
         else:

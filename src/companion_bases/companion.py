@@ -204,7 +204,8 @@ def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
     n = B.n
     if not B.has_unit_entries():
         raise ValueError("entries outside {0,+-1}")
-    if len(B.underlying_edges()) != n - 1 or not is_connected(B):
+    # a tree has n - 1 edges, each in two neighbour sets
+    if sum(map(len, B.neighbours)) != 2 * (n - 1) or not is_connected(B):
         raise ValueError("underlying graph is not a tree")
     try:
         dynkin = dynkin_type_of(B)

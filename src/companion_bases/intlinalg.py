@@ -6,8 +6,6 @@ size; there is no overflow path.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
@@ -99,6 +97,9 @@ def positive_definite_det(rows) -> int:
 
 def solve_fractions(rows, rhs) -> list[Fraction] | None:
     """Solve a square system exactly; None if the matrix is singular."""
+    # imported here: no library code calls this, and fractions brings decimal
+    from fractions import Fraction
+
     n = len(rows)
     if len(rhs) != n or any(len(r) != n for r in rows):
         raise ValueError("shape mismatch")

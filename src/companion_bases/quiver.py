@@ -8,7 +8,6 @@ symmetric integer matrices (tuples of tuples) with diagonal 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import prod
@@ -17,7 +16,7 @@ from .intlinalg import InconsistentSystemError, gf2_solve, positive_definite_det
 
 # bench/test_bench.py checks that tracing wraps det_bareiss here too
 from .intlinalg import det_bareiss  # noqa: F401
-from .root_system import MAX_RANK, DynkinType, breadth_first, neighbour_sets
+from .root_system import MAX_RANK, DynkinType, Frozen, breadth_first, neighbour_sets
 
 SymMatrix = tuple[tuple[int, ...], ...]
 
@@ -25,30 +24,31 @@ CYCLE_NOT_ORIENTED = "chordless cycle not cyclically oriented"
 NO_POSITIVE_COMPANION = "no positive quasi-Cartan companion"
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class ExchangeMatrix(Frozen):
     """Immutable skew-symmetric matrix of entries of type int exactly (no bools)."""
 
     entries: tuple[tuple[int, ...], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise ValueError("matrix is not square")
-        if not set(map(type, chain.from_iterable(self.entries))) <= {int}:
+        if not set(map(type, chain.from_iterable(entries))) <= {int}:
             raise ValueError("matrix entries must be integers")
         for x in range(n):
-            if self.entries[x][x] != 0:
+            if entries[x][x] != 0:
                 raise ValueError(f"nonzero diagonal entry at {x}")
             for y in range(x + 1, n):
-                if self.entries[x][y] != -self.entries[y][x]:
+                if entries[x][y] != -entries[y][x]:
                     raise ValueError(f"not skew-symmetric at ({x},{y})")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _trusted(cls, entries) -> ExchangeMatrix:
         """A matrix on rows of tuples already known to be square and skew-symmetric.
 
-        Skips __post_init__'s O(n^2) check; only code that preserves
+        Skips __init__'s O(n^2) check; only code that preserves
         skew-symmetry by construction (mutate) may call it.
         """
         B = object.__new__(cls)

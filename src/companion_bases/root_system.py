@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .intlinalg import inverse_unimodular
 
@@ -43,26 +43,59 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class Frozen:
+    """Base of the immutable value types: a frozen dataclass's behaviour without
+    importing dataclasses.  A subclass names its fields in _fields and sets
+    each once in __init__ with object.__setattr__; pickle and copy call __init__."""
+
+    def __init_subclass__(cls):
+        # equality and hashing compare the field values, in _fields order
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class DynkinType(Frozen):
     """One of the simply-laced families A (rank >= 1), D (>= 4), E (6, 7, 8)."""
 
     family: str
     rank: int
+    _fields = ("family", "rank")
 
-    def __post_init__(self):
+    def __init__(self, family: str, rank: int):
         # a bool, float or other non-int rank is refused like rank 0
-        rank = self.rank if type(self.rank) is int else 0
-        if self.family == "A":
-            ok = rank >= 1
-        elif self.family == "D":
-            ok = rank >= 4
-        elif self.family == "E":
-            ok = rank in (6, 7, 8)
+        checked = rank if type(rank) is int else 0
+        if family == "A":
+            ok = checked >= 1
+        elif family == "D":
+            ok = checked >= 4
+        elif family == "E":
+            ok = checked in (6, 7, 8)
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
         if not ok:
-            raise ValueError(f"invalid rank {self.rank!r} for family {self.family}")
+            raise ValueError(f"invalid rank {rank!r} for family {family}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def parse(cls, text: str) -> DynkinType:
@@ -118,8 +151,9 @@ class RootSystem:
 
     Positive roots are generated once, height by height from the simple
     roots: alpha + e_i is a root exactly when (alpha, e_i) = -1, entry i of
-    C alpha (`_image`, read off the diagram's neighbour sets).  They are kept
-    in a fixed order: graded by coordinate sum, ties broken lexicographically.
+    C alpha, its parent's plus a column of C, held for one height at a time.
+    They are kept in a fixed order: graded by coordinate sum, ties broken
+    lexicographically.
     `positive_parents[p]` is (q, i) when positive root p is positive root q
     plus e_i, and (-1, i) when p is e_i itself; parents precede children.
 
@@ -143,21 +177,30 @@ class RootSystem:
         )
         roots: list[Root] = []
         parents: list[tuple[int, int]] = []
-        layer = {e: (-1, i) for i, e in enumerate(self.simple_roots)}
+        # next height: root -> (parent, i, the parent's image C parent)
+        zero = [0] * n
+        layer = {e: (-1, i, zero) for i, e in enumerate(self.simple_roots)}
         index: dict[Root, int] = {}
         while layer:
-            start = len(roots)
+            images = []  # C alpha for this height's roots only
             for alpha in sorted(layer):
+                parent, i, image = layer[alpha]
+                # C (parent + e_i) = C parent + column i of C
+                image = image.copy()
+                image[i] += 2
+                for j in self._neighbours[i]:
+                    image[j] -= 1
                 index[alpha] = len(roots)
                 roots.append(alpha)
-                parents.append(layer[alpha])
+                parents.append((parent, i))
+                images.append(image)
             layer = {}
-            for p in range(start, len(roots)):
+            for p, image in enumerate(images, len(roots) - len(images)):
                 alpha = roots[p]
-                for i, value in enumerate(self._image(alpha)):
+                for i, value in enumerate(image):
                     if value == -1:
                         child = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-                        layer.setdefault(child, (p, i))
+                        layer.setdefault(child, (p, i, image))
         self.positive_roots: tuple[Root, ...] = tuple(roots)
         self.positive_parents: tuple[tuple[int, int], ...] = tuple(parents)
         self._index = index

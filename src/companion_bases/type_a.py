@@ -10,7 +10,6 @@ and the strongness check raise ValueError on every type but A.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 
@@ -27,7 +26,7 @@ from .quiver import (
     int_rows,
     load_json,
 )
-from .root_system import DynkinType, Root
+from .root_system import DynkinType, Frozen, Root
 
 Diagonal = tuple[int, int]
 
@@ -58,25 +57,26 @@ def diagonals_cross(d1: Diagonal, d2: Diagonal) -> bool:
     return a < c < b < d or c < a < d < b
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    """n pairwise non-crossing diagonals of the (n+3)-gon."""
+class Triangulation(Frozen):
+    """n pairwise non-crossing diagonals of the (n+3)-gon, stored sorted."""
 
     n: int
     diagonals: tuple[Diagonal, ...]
+    _fields = ("n", "diagonals")
 
-    def __post_init__(self):
-        _check_n(self.n)
-        diagonals = tuple(sorted(_check_diagonal(self.n, d) for d in self.diagonals))
-        object.__setattr__(self, "diagonals", diagonals)
-        if len(set(diagonals)) != self.n:
-            raise ValueError(f"expected {self.n} distinct diagonals")
+    def __init__(self, n: int, diagonals):
+        _check_n(n)
+        diagonals = tuple(sorted(_check_diagonal(n, d) for d in diagonals))
+        if len(set(diagonals)) != n:
+            raise ValueError(f"expected {n} distinct diagonals")
         if not _non_crossing(diagonals):
             # the pairwise scan names the first crossing pair
             for i, d1 in enumerate(diagonals):
                 for d2 in diagonals[i + 1 :]:
                     if diagonals_cross(d1, d2):
                         raise ValueError(f"diagonals {d1} and {d2} cross")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "diagonals", diagonals)
 
 
 def _non_crossing(diagonals) -> bool:
@@ -178,8 +178,7 @@ def relations_of(B: ExchangeMatrix) -> frozenset[ArrowPair]:
     return frozenset(pairs)
 
 
-@dataclass(frozen=True)
-class StringWalk:
+class StringWalk(Frozen):
     """A walk whose vertices are joined by an arrow exactly when consecutive.
 
     directions[i] is +1 when the arrow runs vertices[i] -> vertices[i+1] and
@@ -190,16 +189,19 @@ class StringWalk:
 
     vertices: tuple[int, ...]
     directions: tuple[int, ...]
+    _fields = ("vertices", "directions")
 
-    def __post_init__(self):
-        if not isinstance(self.vertices, tuple):
-            raise ValueError(f"walk vertices must be a tuple, not {self.vertices!r}")
-        if not isinstance(self.directions, tuple) or not all(
-            type(d) is int and d in (1, -1) for d in self.directions
+    def __init__(self, vertices: tuple[int, ...], directions: tuple[int, ...]):
+        if not isinstance(vertices, tuple):
+            raise ValueError(f"walk vertices must be a tuple, not {vertices!r}")
+        if not isinstance(directions, tuple) or not all(
+            type(d) is int and d in (1, -1) for d in directions
         ):
             raise ValueError(
-                f"walk directions must be a tuple of 1 and -1, not {self.directions!r}"
+                f"walk directions must be a tuple of 1 and -1, not {directions!r}"
             )
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "directions", directions)
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -347,8 +348,9 @@ def test_verify_type_a_parallel(tmp_path):
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Swaps the CLI's ProcessPoolExecutor for a serial stand-in that forks
-    nothing; returns the max_workers of each pool it was asked for."""
+    """Swaps ProcessPoolExecutor, which the CLI imports from concurrent.futures
+    when it makes a pool, for a serial stand-in that forks nothing; returns
+    the max_workers of each pool it was asked for."""
     sizes = []
 
     class SerialPool:
@@ -364,7 +366,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -446,7 +448,7 @@ def test_verify_type_a_sends_the_pool_about_four_chunks_per_worker(
 
     assert run(["verify-type-a", "--n", 4]) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", ChunkRecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ChunkRecordingPool)
     assert run(["verify-type-a", "--n", 4, "--jobs", 2]) == 0
     assert capsys.readouterr().out == serial
     # 42 triangulations over 2 workers: chunks of 42 // 8 = 5, in order

@@ -50,7 +50,7 @@ from companion_bases.type_a import (
     random_triangulation,
 )
 
-from conftest import PENDANT_DVECTORS, dynkin_orientation
+from conftest import PENDANT_ARROWS, PENDANT_DVECTORS, dynkin_orientation
 
 A2 = build_root_system(DynkinType("A", 2))
 B_A2 = ExchangeMatrix.from_arrows(2, [(0, 1)])
@@ -106,6 +106,42 @@ def test_initial_basis_rejects_non_trees(pendant_quiver):
     star5 = ExchangeMatrix.from_arrows(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
     with pytest.raises(ValueError, match="not a Dynkin diagram"):
         initial_companion_basis(star5)
+    # n - 1 edges but two components: the count passes, connectivity does not
+    forest = ExchangeMatrix.from_arrows(4, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="not a tree"):
+        initial_companion_basis(forest)
+
+
+@pytest.mark.parametrize(
+    "n,arrows,tree",
+    [
+        (1, [], True),
+        (5, [(0, 1), (2, 1), (2, 3), (4, 3)], True),
+        (6, DynkinType("D", 6).edges(), True),
+        (8, DynkinType("E", 8).edges(), True),
+        (4, PENDANT_ARROWS, False),
+        (4, [(0, 1), (1, 2), (2, 0)], False),
+    ],
+    ids=["A1", "A5", "D6", "E8", "pendant", "forest"],
+)
+def test_initial_basis_scans_the_matrix_once(monkeypatch, n, arrows, tree):
+    """The tree test counts edges in the neighbour sets that the connectivity
+    test reads, so a new matrix is scanned for edges once, tree or not."""
+    B = ExchangeMatrix.from_arrows(n, arrows)
+    scans = []
+    original = ExchangeMatrix.underlying_edges
+
+    def counting(self):
+        scans.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ExchangeMatrix, "underlying_edges", counting)
+    if tree:
+        initial_companion_basis(B)
+    else:
+        with pytest.raises(ValueError, match="not a tree"):
+            initial_companion_basis(B)
+    assert scans == [B]
 
 
 def random_orientation(n, edges, rng):

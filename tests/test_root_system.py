@@ -35,6 +35,45 @@ def dense_form(cartan, a, b):
     return sum(x * y for x, y in zip(a, dense_image(cartan, b)))
 
 
+def parent_chain_oracle(dynkin):
+    """Positive roots, parents and simple_first as RootSystem built them before
+    it carried images along the parents: C alpha recomputed for every root."""
+    n = dynkin.rank
+    neighbours = dynkin.adjacency()
+    simple = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    roots, parents, index = [], [], {}
+    layer = {e: (-1, i) for i, e in enumerate(simple)}
+    while layer:
+        start = len(roots)
+        for alpha in sorted(layer):
+            index[alpha] = len(roots)
+            roots.append(alpha)
+            parents.append(layer[alpha])
+        layer = {}
+        for p in range(start, len(roots)):
+            alpha = roots[p]
+            image = [2 * a - sum(alpha[j] for j in ns) for a, ns in zip(alpha, neighbours)]
+            for i, value in enumerate(image):
+                if value == -1:
+                    child = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+                    layer.setdefault(child, (p, i))
+    simple_first = tuple(index[e] for e in simple) + tuple(range(n, len(roots)))
+    return tuple(roots), tuple(parents), simple_first
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"A{n}" for n in range(1, 41)] + [f"D{n}" for n in range(4, 31)] + ["E6", "E7", "E8"],
+)
+def test_roots_built_along_the_parent_chain_match_the_per_root_images(label):
+    dynkin = DynkinType.parse(label)
+    rs = RootSystem(dynkin)
+    assert (rs.positive_roots, rs.positive_parents, rs.simple_first) == parent_chain_oracle(
+        dynkin
+    )
+    assert len(rs.positive_roots) == dynkin.positive_root_count()
+
+
 def norm2_box_oracle(dynkin, bound):
     """All positive-coordinate vectors of squared length 2 in a box.
 
