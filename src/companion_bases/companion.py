@@ -30,6 +30,7 @@ from .quiver import (
     mutate_entries,
 )
 from .root_system import (
+    NOT_ROOT,
     DynkinType,
     Root,
     RootSystem,
@@ -141,7 +142,7 @@ class CompanionBasis:
 
     def d_vector(self, alpha) -> DVector:
         """Componentwise absolute expansion coefficients; equal for alpha and -alpha."""
-        if not self.rs.is_root(alpha):
+        if self.rs.classify(alpha) == NOT_ROOT:
             raise ValueError(f"{alpha} is not a root")
         return tuple(abs(c) for c in self.expand(alpha))
 
@@ -184,10 +185,6 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
     return None
 
 
-def is_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
-    return companion_basis_failure(psi, B) is None
-
-
 def _require_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> None:
     """The one basis precondition: ValueError unless psi is a companion basis for B."""
     failure = companion_basis_failure(psi, B)
@@ -213,7 +210,8 @@ def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
         raise ValueError("underlying tree is not a Dynkin diagram") from None
     image = next(graph_isomorphisms(B.neighbours, dynkin.adjacency()), None)
     if image is None:
-        raise ValueError("quiver is not an orientation of the Dynkin diagram")
+        # recognition typed this very tree, so it is the Dynkin diagram
+        raise RuntimeError("quiver is not an orientation of the Dynkin diagram it was typed as")
     rs = build_root_system(dynkin)
     psi = CompanionBasis._from_ids(rs, tuple(rs.simple_first[i] for i in image))
     psi._recognized = B
@@ -244,7 +242,7 @@ def transform(psi: CompanionBasis, word=(), perm=None) -> CompanionBasis:
             raise ValueError(f"{perm} is not a diagram automorphism of {rs.dynkin}")
         ids = tuple(rs.locate(apply_automorphism(perm, g)) for g in psi.gamma)
     for letter in word:
-        if not rs.is_root(letter):
+        if rs.classify(letter) == NOT_ROOT:
             raise ValueError(f"mirror {letter} is not a root")
         m = rs.locate(letter)
         ids = tuple(rs.reflect_handle(h, m) for h in ids)

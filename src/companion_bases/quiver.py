@@ -48,8 +48,8 @@ class ExchangeMatrix(Frozen):
     def _trusted(cls, entries) -> ExchangeMatrix:
         """A matrix on rows of tuples already known to be square and skew-symmetric.
 
-        Skips __init__'s O(n^2) check; only code that preserves
-        skew-symmetry by construction (mutate) may call it.
+        Skips __init__'s O(n^2) check; only code that builds plain-int rows
+        skew-symmetric by construction may call it: mutate and from_arrows.
         """
         B = object.__new__(cls)
         object.__setattr__(B, "entries", entries)
@@ -67,7 +67,8 @@ class ExchangeMatrix(Frozen):
     def from_arrows(cls, n: int, arrows) -> ExchangeMatrix:
         """Arrows (s, t) of distinct plain ints in 0..n-1 add up; opposite ones cancel.
 
-        n must be a plain int >= 0 (no bool).
+        n must be a plain int >= 0 (no bool).  Every arrow is checked; the rows
+        built from them are not, since each arrow adds +1 and -1 off the diagonal.
         """
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a non-negative integer, not {n!r}")
@@ -83,7 +84,7 @@ class ExchangeMatrix(Frozen):
             s, t = pair
             rows[s][t] += 1
             rows[t][s] -= 1
-        return cls.from_rows(rows)
+        return cls._trusted(tuple(map(tuple, rows)))
 
     def arrows(self) -> list[tuple[int, int]]:
         """Arrow list (s, t), with multiplicity, sorted by (source, target)."""
@@ -368,10 +369,6 @@ def finite_type_failure(B: ExchangeMatrix) -> str | None:
     return recognize(B)[0]
 
 
-def is_finite_type(B: ExchangeMatrix) -> bool:
-    return finite_type_failure(B) is None
-
-
 def dynkin_type_and_companion(B: ExchangeMatrix) -> tuple[DynkinType, SymMatrix]:
     """Dynkin type and canonical companion of a connected finite-type matrix.
 
@@ -396,7 +393,8 @@ def _type_of_companion(n: int, det: int) -> DynkinType:
         return DynkinType("D", n)
     if n in (6, 7, 8) and det == 9 - n:
         return DynkinType("E", n)
-    raise ValueError(f"unrecognised determinant {det} at rank {n}")
+    # BGZ 2006: a connected positive quasi-Cartan matrix is equivalent to a Cartan matrix
+    raise RuntimeError(f"unrecognised determinant {det} at rank {n}: not a Dynkin determinant")
 
 
 def recognize(B: ExchangeMatrix) -> tuple[str | None, DynkinType | None]:

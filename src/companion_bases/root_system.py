@@ -302,9 +302,6 @@ class RootSystem:
             ])
         return row[h] if h >= 0 else ~row[~h]
 
-    def is_root(self, v) -> bool:
-        return self.classify(v) != NOT_ROOT
-
     def classify(self, v) -> str:
         """Sort a coordinate vector into positive_root / negative_root / not_root."""
         if len(v) != self.rank:
@@ -318,7 +315,7 @@ class RootSystem:
 
     def reflect(self, a, mirror) -> Root:
         """Reflection of a in the hyperplane orthogonal to a root."""
-        if not self.is_root(mirror):
+        if self.classify(mirror) == NOT_ROOT:
             raise ValueError(f"mirror {mirror} is not a root")
         a = tuple(a)
         c = self.inner(a, mirror)

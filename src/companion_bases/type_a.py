@@ -9,7 +9,6 @@ and the strongness check raise ValueError on every type but A.
 
 from __future__ import annotations
 
-import random
 from itertools import product
 from math import comb
 
@@ -120,8 +119,11 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def random_triangulation(n: int, rng: random.Random) -> Triangulation:
-    """Uniformly random triangulation, drawn by Catalan-weighted apex choices."""
+def random_triangulation(n: int, rng) -> Triangulation:
+    """Uniformly random triangulation, drawn by Catalan-weighted apex choices.
+
+    rng is a random.Random; only its choices method is called.
+    """
     _check_n(n)
     split: list[Diagonal] = []
     stack = [(1, n + 3)]
@@ -151,13 +153,12 @@ def quiver_from_triangulation(T: Triangulation) -> ExchangeMatrix:
     for v, d in enumerate(T.diagonals):
         for p, q in (d, d[::-1]):
             fans[p].append(((q - p) % corners, v))
-    rows = [[0] * T.n for _ in range(T.n)]
+    # two diagonals share at most one corner, so each pair arises once
+    arrows = []
     for fan in fans:
         fan.sort()
-        for (_, s), (_, t) in zip(fan, fan[1:]):
-            rows[s][t] = 1
-            rows[t][s] = -1
-    return ExchangeMatrix.from_rows(rows)
+        arrows += [(s, t) for (_, s), (_, t) in zip(fan, fan[1:])]
+    return ExchangeMatrix.from_arrows(T.n, arrows)
 
 
 def relations_of(B: ExchangeMatrix) -> frozenset[ArrowPair]:
@@ -215,7 +216,8 @@ def _walk_from_vertices(B: ExchangeMatrix, vertices) -> StringWalk:
     for u, v in zip(vertices, vertices[1:]):
         entry = B.entries[u][v]
         if entry == 0:
-            raise ValueError(f"vertices {u},{v} are consecutive but not joined")
+            # callers pass induced paths, whose consecutive vertices are joined
+            raise RuntimeError(f"vertices {u},{v} are consecutive but not joined: not a path")
         directions.append(1 if entry > 0 else -1)
     return StringWalk(tuple(vertices), tuple(directions))
 
@@ -333,7 +335,8 @@ def almost_positive_root_of_diagonal(n: int, d) -> Root:
         return tuple(-1 if i == m else 0 for i in range(n))
     crossed = [m for m, s in enumerate(snake) if diagonals_cross(d, s)]
     if not crossed or crossed != list(range(crossed[0], crossed[-1] + 1)):
-        raise ValueError(f"diagonal {d} crosses snake positions {crossed}")
+        # every diagonal off the snake crosses a non-empty run of consecutive ones
+        raise RuntimeError(f"diagonal {d} crosses snake positions {crossed}: not one run")
     return tuple(1 if crossed[0] <= i <= crossed[-1] else 0 for i in range(n))
 
 

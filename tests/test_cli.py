@@ -11,7 +11,7 @@ import pytest
 
 from companion_bases import cli, companion, quiver, type_a
 from companion_bases.cli import main
-from companion_bases.companion import loads_companion_basis, is_companion_basis
+from companion_bases.companion import companion_basis_failure, loads_companion_basis
 from companion_bases.intlinalg import det_bareiss
 from companion_bases.quiver import dumps_exchange_matrix, loads_exchange_matrix
 from companion_bases.root_system import MAX_RANK
@@ -111,7 +111,7 @@ def test_companion_command(tmp_path, capsys, pendant_file):
     out = tmp_path / "basis.json"
     assert run(["companion", "--input", pendant_file, "--output", out]) == 0
     psi, B = loads_companion_basis(out.read_text())
-    assert is_companion_basis(psi, B)
+    assert companion_basis_failure(psi, B) is None
 
     path = tmp_path / "path.json"
     path.write_text('{"n": 3, "arrows": [[0, 1], [1, 2]]}')
@@ -124,7 +124,7 @@ def test_companion_command(tmp_path, capsys, pendant_file):
     assert run(["companion", "--input", d5, "--output", out]) == 0
     psi, B = loads_companion_basis(out.read_text())
     assert str(psi.rs.dynkin) == "D5"
-    assert is_companion_basis(psi, B)
+    assert companion_basis_failure(psi, B) is None
 
     square = tmp_path / "square.json"
     square.write_text('{"n": 4, "arrows": [[0, 1], [1, 2], [3, 2], [0, 3]]}')
@@ -158,6 +158,17 @@ def test_a_loop_or_out_of_range_arrow_is_malformed_input(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: bad arrow {named}"]
+
+
+@pytest.mark.parametrize("command", ["mutate", "recognize", "companion"])
+def test_arrows_that_are_not_a_list_are_malformed_input(tmp_path, capsys, command):
+    src = tmp_path / "bad.json"
+    src.write_text('{"n": 2, "arrows": 5}')
+    extra = ["--k", 0] if command == "mutate" else []
+    assert run([command, "--input", src, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: 'arrows' must be a list"]
 
 
 def test_companion_rejects_disconnected_quiver(tmp_path, capsys):
@@ -338,6 +349,37 @@ def test_verify_type_a(tmp_path):
     assert run(["verify-type-a", "--n", 9, "--mode", "exhaustive"]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            ["--n", cli.MAX_SAMPLE_N + 1, "--walk-length", 1],
+            f"sample mode is capped at n={cli.MAX_SAMPLE_N}",
+        ),
+        (
+            ["--n", 2, "--walk-length", cli.MAX_WALK_LENGTH + 1],
+            f"--walk-length must be at most {cli.MAX_WALK_LENGTH}",
+        ),
+    ],
+)
+def test_verify_type_a_caps_the_sample_before_drawing(capsys, monkeypatch, extra, message):
+    def no_draw(n, rng):
+        raise AssertionError("drew a triangulation above the cap")
+
+    monkeypatch.setattr(cli, "random_triangulation", no_draw)
+    assert run(["verify-type-a", "--mode", "sample", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_type_a_samples_up_to_the_walk_length_cap(capsys):
+    cap = cli.MAX_WALK_LENGTH
+    assert run(["verify-type-a", "--n", 1, "--mode", "sample", "--walk-length", cap]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["total"] == summary["strong"] == cap
+
+
 def test_verify_type_a_parallel(tmp_path):
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
@@ -363,7 +405,7 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -430,7 +472,7 @@ def test_verify_type_a_exits_4_on_a_construction_failure(
 def test_verify_type_a_sends_the_pool_about_four_chunks_per_worker(
     capsys, monkeypatch
 ):
-    chunks = []
+    sent = []
 
     class ChunkRecordingPool:
         def __init__(self, max_workers):
@@ -442,19 +484,21 @@ def test_verify_type_a_sends_the_pool_about_four_chunks_per_worker(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            chunks.extend(items)
-            return map(fn, items)
+        def map(self, fn, items, chunksize=1):
+            sent.append((list(items), chunksize))
+            return map(fn, sent[-1][0])
 
     assert run(["verify-type-a", "--n", 4]) == 0
     serial = capsys.readouterr().out
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ChunkRecordingPool)
     assert run(["verify-type-a", "--n", 4, "--jobs", 2]) == 0
     assert capsys.readouterr().out == serial
-    # 42 triangulations over 2 workers: chunks of 42 // 8 = 5, in order
-    assert [len(chunk) for chunk in chunks] == [5] * 8 + [2]
-    flat = [T for chunk in chunks for T in chunk]
-    assert flat == type_a.enumerate_triangulations(4)
+    # 42 triangulations over 2 workers: one map in chunks of 42 // 8 = 5, in
+    # output order
+    [(triangulations, chunksize)] = sent
+    assert chunksize == 5
+    expected = sorted(type_a.enumerate_triangulations(4), key=lambda T: T.diagonals)
+    assert triangulations == expected
 
 
 def test_type_flag_generates_standard_orientation(tmp_path, capsys):

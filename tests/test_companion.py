@@ -17,7 +17,6 @@ from companion_bases.companion import (
     find_mutation_sequence_to_tree,
     initial_companion_basis,
     inward_update_components,
-    is_companion_basis,
     loads_companion_basis,
     mutate_inward,
     mutate_outward,
@@ -79,14 +78,14 @@ def test_initial_basis_on_natural_path():
     B = dynkin_orientation("A4")
     psi = initial_companion_basis(B)
     assert psi.gamma == psi.rs.simple_roots
-    assert is_companion_basis(psi, B)
+    assert companion_basis_failure(psi, B) is None
 
 
 def test_initial_basis_on_relabeled_path():
     # path 2 -> 0 -> 3 -> 1 is still an A4 orientation
     B = ExchangeMatrix.from_arrows(4, [(2, 0), (0, 3), (3, 1)])
     psi = initial_companion_basis(B)
-    assert is_companion_basis(psi, B)
+    assert companion_basis_failure(psi, B) is None
     assert sorted(psi.gamma) == sorted(psi.rs.simple_roots)
 
 
@@ -95,7 +94,7 @@ def test_initial_basis_on_branching_types():
         B = dynkin_orientation(label)
         psi = initial_companion_basis(B)
         assert psi.rs.dynkin == DynkinType.parse(label)
-        assert is_companion_basis(psi, B)
+        assert companion_basis_failure(psi, B) is None
 
 
 def test_initial_basis_rejects_non_trees(pendant_quiver):
@@ -177,7 +176,7 @@ def test_initial_basis_types_relabelled_reoriented_trees(label):
         B = random_orientation(dynkin.rank, dynkin.edges(), rng)
         psi = initial_companion_basis(B)
         assert psi.rs.dynkin == dynkin
-        assert is_companion_basis(psi, B)
+        assert companion_basis_failure(psi, B) is None
 
 
 NON_DYNKIN_TREES = {
@@ -201,9 +200,9 @@ def test_initial_basis_rejects_affine_trees(name):
 
 
 def test_is_companion_basis_examples(pendant_quiver, pendant_basis, rs_a4):
-    assert is_companion_basis(pendant_basis, pendant_quiver)
+    assert companion_basis_failure(pendant_basis, pendant_quiver) is None
     pi = CompanionBasis(rs_a4, rs_a4.simple_roots)
-    assert not is_companion_basis(pi, pendant_quiver)
+    assert companion_basis_failure(pi, pendant_quiver) is not None
     assert "mismatch" in companion_basis_failure(pi, pendant_quiver)
 
 
@@ -220,7 +219,7 @@ def test_sign_change(pendant_quiver, pendant_basis):
     assert sign_change(pendant_basis, set()) == pendant_basis
     flipped = sign_change(pendant_basis, {0, 2})
     assert sign_change(flipped, {0, 2}) == pendant_basis
-    assert is_companion_basis(flipped, pendant_quiver)
+    assert companion_basis_failure(flipped, pendant_quiver) is None
     assert flipped.gram() == simultaneous_sign_change(pendant_basis.gram(), {0, 2})
 
 
@@ -229,7 +228,7 @@ def test_transform_examples():
     moved = transform(PI_A2, word=(A2.simple_roots[0],))
     assert moved.gamma == ((-1, 0), (1, 1))
     assert moved.gram() == PI_A2.gram()
-    assert is_companion_basis(moved, B_A2)
+    assert companion_basis_failure(moved, B_A2) is None
     a1, a2 = A2.simple_roots
     assert transform(PI_A2, word=(a2, a1)).gamma == tuple(
         A2.reflect(A2.reflect(g, a2), a1) for g in PI_A2.gamma
@@ -246,7 +245,7 @@ def test_transform_with_automorphism(pendant_basis, pendant_quiver):
         for word in [(), (rs.positive_roots[3],), (rs.positive_roots[5], rs.positive_roots[0])]:
             out = transform(pendant_basis, word=word, perm=perm)
             assert out.gram() == pendant_basis.gram()
-            assert is_companion_basis(out, pendant_quiver)
+            assert companion_basis_failure(out, pendant_quiver) is None
             assert d_vector_set(out) == d_vector_set(pendant_basis)
 
 
@@ -268,7 +267,7 @@ def test_mutate_inward_two_vertex_example():
     psi2, B2 = mutate_inward(PI_A2, B_A2, 1)
     assert psi2.gamma == ((1, 1), (0, 1))
     assert B2.arrows() == [(1, 0)]
-    assert is_companion_basis(psi2, B2)
+    assert companion_basis_failure(psi2, B2) is None
 
 
 def test_mutate_inward_at_source_keeps_basis():
@@ -283,7 +282,7 @@ def test_mutate_outward_examples():
     assert psi2.gamma == PI_A2.gamma
     psi3, _ = mutate_outward(PI_A2, B_A2, 0)
     assert psi3.gamma == ((1, 0), (1, 1))
-    assert is_companion_basis(psi3, mutate(B_A2, 0))
+    assert companion_basis_failure(psi3, mutate(B_A2, 0)) is None
 
 
 def test_inward_and_outward_agree_on_target_matrix(pendant_basis, pendant_quiver):
@@ -291,8 +290,8 @@ def test_inward_and_outward_agree_on_target_matrix(pendant_basis, pendant_quiver
         psi_in, B_in = mutate_inward(pendant_basis, pendant_quiver, k)
         psi_out, B_out = mutate_outward(pendant_basis, pendant_quiver, k)
         assert B_in == B_out == mutate(pendant_quiver, k)
-        assert is_companion_basis(psi_in, B_in)
-        assert is_companion_basis(psi_out, B_out)
+        assert companion_basis_failure(psi_in, B_in) is None
+        assert companion_basis_failure(psi_out, B_out) is None
 
 
 def test_mutate_validates_inputs(pendant_quiver, rs_a4):
@@ -379,6 +378,11 @@ def test_root_with_support_string(pendant_basis):
         root_with_support_string(pendant_basis, [0, 1, 0])
 
 
+def test_root_with_support_string_refuses_the_empty_walk(pendant_basis):
+    with pytest.raises(ValueError, match="^walk is empty$"):
+        root_with_support_string(pendant_basis, [])
+
+
 def test_root_with_support_string_rejects_vertices_out_of_range(pendant_basis):
     # a negative vertex would otherwise index from the end and read vertex n - 1
     for walk in ([-1], [4], [0, 1, -1]):
@@ -436,11 +440,11 @@ def test_companion_basis_for(pendant_quiver, pendant_basis):
         DynkinType("A", 4)
     ).simple_roots
     psi = companion_basis_for(pendant_quiver)
-    assert is_companion_basis(psi, pendant_quiver)
+    assert companion_basis_failure(psi, pendant_quiver) is None
     assert d_vector_set(psi) == d_vector_set(pendant_basis)
     for T in enumerate_triangulations(4):
         B = quiver_from_triangulation(T)
-        assert is_companion_basis(companion_basis_for(B), B)
+        assert companion_basis_failure(companion_basis_for(B), B) is None
 
 
 def test_find_mutation_sequence_rejects_disconnected_input():
@@ -482,7 +486,7 @@ def test_companion_basis_for_branching_types():
     for label in ("D4", "D5", "E6"):
         B = mutate_sequence(dynkin_orientation(label), [0, 2, 1, 3])
         psi = companion_basis_for(B)
-        assert is_companion_basis(psi, B)
+        assert companion_basis_failure(psi, B) is None
         assert psi.rs.dynkin == DynkinType.parse(label)
 
 

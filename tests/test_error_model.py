@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import companion_bases
-from companion_bases import companion
+from companion_bases import companion, quiver, type_a
 from companion_bases.cli import main
 from companion_bases.companion import (
     CompanionBasis,
@@ -42,6 +42,8 @@ from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
     StringWalk,
     Triangulation,
+    almost_positive_root_of_diagonal,
+    enumerate_strings,
     enumerate_triangulations,
     is_string,
     loads_triangulation,
@@ -172,6 +174,48 @@ def test_invariant_violations_are_runtime_errors(monkeypatch):
     assert find_mutation_sequence_to_tree(square) == [0, 1]
     with pytest.raises(RuntimeError, match="^mutation search exhausted") as info:
         find_mutation_sequence_to_tree(square, cap=1)
+    assert type(info.value) is RuntimeError
+
+
+def breaks_the_tree_isomorphism(monkeypatch):
+    monkeypatch.setattr(companion, "graph_isomorphisms", lambda *graphs: iter(()))
+    return lambda: initial_companion_basis(A4)
+
+
+def breaks_the_positive_determinant(monkeypatch):
+    monkeypatch.setattr(quiver, "positive_definite_det", lambda A: 7)
+    return lambda: dynkin_type_of(A4)
+
+
+def breaks_the_induced_paths(monkeypatch):
+    monkeypatch.setattr(type_a, "_string_paths", lambda B: [(0, 2)])
+    return lambda: enumerate_strings(A4)
+
+
+def breaks_the_snake_crossings(monkeypatch):
+    monkeypatch.setattr(type_a, "diagonals_cross", lambda d1, d2: False)
+    return lambda: almost_positive_root_of_diagonal(4, (1, 4))
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        (
+            breaks_the_tree_isomorphism,
+            "quiver is not an orientation of the Dynkin diagram it was typed as",
+        ),
+        (
+            breaks_the_positive_determinant,
+            "unrecognised determinant 7 at rank 4: not a Dynkin determinant",
+        ),
+        (breaks_the_induced_paths, "vertices 0,2 are consecutive but not joined: not a path"),
+        (breaks_the_snake_crossings, "diagonal (1, 4) crosses snake positions []: not one run"),
+    ],
+)
+def test_theorems_the_library_relies_on_raise_runtime_errors(monkeypatch, breaks, message):
+    call = breaks(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$") as info:
+        call()
     assert type(info.value) is RuntimeError
 
 

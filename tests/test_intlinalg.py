@@ -185,6 +185,12 @@ def test_positive_definite_det_matches_leading_minors():
     assert definite > 100 and indefinite > 50
 
 
+def test_positive_definite_det_refuses_a_matrix_that_is_not_square():
+    for rows in ([[2, 1]], [[2, 1], [1]]):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            positive_definite_det(rows)
+
+
 def test_inverse_unimodular():
     m = ((1, 1), (0, 1))
     inv = inverse_unimodular(m)

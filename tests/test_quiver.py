@@ -29,7 +29,6 @@ from companion_bases.quiver import (
     finite_type_failure,
     is_connected,
     is_cyclically_oriented,
-    is_finite_type,
     is_positive_quasi_cartan,
     loads_exchange_matrix,
     mutate,
@@ -97,6 +96,26 @@ def test_arrows_roundtrip():
     assert B.arrows() == sorted(PENDANT_ARROWS)
     assert ExchangeMatrix.from_arrows(4, B.arrows()) == B
     assert ExchangeMatrix.from_rows([[0, 0], [0, 0]]).arrows() == []
+
+
+def test_from_arrows_builds_the_matrix_the_full_check_accepts():
+    # from_arrows checks the arrows, then trusts its rows; an arrow adds +1 at
+    # (s, t) and -1 at (t, s), so repeated arrows add up and opposite ones cancel
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        drawn = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+        arrows = drawn + drawn[::3] + [(t, s) for s, t in drawn[::4]]
+        rng.shuffle(arrows)
+        B = ExchangeMatrix.from_arrows(n, arrows)
+        checked = ExchangeMatrix(B.entries)
+        assert B == checked and hash(B) == hash(checked)
+        assert B.neighbours == checked.neighbours
+        assert all(
+            B.entries[s][t] == arrows.count((s, t)) - arrows.count((t, s))
+            for s in range(n)
+            for t in range(n)
+        )
 
 
 def test_mutate_source_sink_flip():
@@ -300,6 +319,8 @@ def test_cycle_sign_condition():
         satisfies_cycle_sign_condition(hand, tri)
     hand = ((2, 1, -1), (1, 2, -1), (-1, -1, 2))
     assert satisfies_cycle_sign_condition(hand, tri)
+    with pytest.raises(ValueError, match="^A is not a quasi-Cartan companion of B$"):
+        satisfies_cycle_sign_condition(hand[:2], tri)
 
 
 def test_canonical_companion_on_tree_is_counterpart():
@@ -418,11 +439,11 @@ def test_simultaneous_sign_change_reads_any_iterable_once():
 
 def test_finite_type_verdicts():
     for n in range(1, 9):
-        assert is_finite_type(dynkin_orientation(f"A{n}"))
+        assert finite_type_failure(dynkin_orientation(f"A{n}")) is None
     assert finite_type_failure(SQUARE) == CYCLE_NOT_ORIENTED
     double = ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
     assert finite_type_failure(double) == NO_POSITIVE_COMPANION
-    assert is_finite_type(ExchangeMatrix.from_rows([[0]]))
+    assert finite_type_failure(ExchangeMatrix.from_rows([[0]])) is None
 
 
 def test_dynkin_type_of(pendant_quiver):
@@ -560,7 +581,7 @@ def test_mutate_entries_matches_dense_formula_on_walks(start):
         assert all(type(row) is tuple for row in sparse)
         rows = sparse
         largest = max(largest, max(abs(v) for row in rows for v in row))
-    if not is_finite_type(start):
+    if finite_type_failure(start) is not None:
         assert largest >= 2  # the walk met multiple arrows
 
 
@@ -593,7 +614,7 @@ def test_mutate_agrees_with_the_checked_constructor_on_random_skew_matrices():
                 rows[i][j] = rng.randint(-3, 3)
                 rows[j][i] = -rows[i][j]
         B = ExchangeMatrix.from_rows(rows)
-        infinite += not is_finite_type(B)
+        infinite += finite_type_failure(B) is not None
         for _ in range(3):
             assert_mutation_passes_the_checked_constructor(B)
             B = mutate(B, rng.randrange(n))

@@ -16,8 +16,8 @@ from companion_bases.quiver import (
     cartan_counterpart,
     chordless_cycles,
     dynkin_type_of,
+    finite_type_failure,
     is_cyclically_oriented,
-    is_finite_type,
     mutate,
     satisfies_cycle_sign_condition,
 )
@@ -142,7 +142,7 @@ def test_triangulation_quivers_are_well_formed(n):
     for T in enumerate_triangulations(n):
         B = quiver_from_triangulation(T)
         assert B.has_unit_entries()
-        assert is_finite_type(B)
+        assert finite_type_failure(B) is None
         assert dynkin_type_of(B) == DynkinType("A", n)
         for cycle in chordless_cycles(B):
             assert len(cycle) == 3
@@ -172,6 +172,14 @@ def test_relations():
     square = ExchangeMatrix.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ValueError, match="length 4"):
         relations_of(square)
+
+
+def test_relations_follow_the_arrows_against_the_canonical_rotation():
+    # the cycle is walked as (0, 1, 2), but its arrows run 0 -> 2 -> 1 -> 0
+    against = ExchangeMatrix.from_arrows(3, [(1, 0), (2, 1), (0, 2)])
+    assert relations_of(against) == frozenset(
+        {((0, 2), (2, 1)), ((1, 0), (0, 2)), ((2, 1), (1, 0))}
+    )
 
 
 def test_the_cycle_checks_stop_at_the_first_cycle_not_cyclically_oriented():
@@ -231,6 +239,12 @@ def test_a_walk_needs_one_direction_per_step():
             string_dim_vector(path, malformed)
     assert not is_string(path, StringWalk((0, 1, 2), (1,)))
     assert not is_string(path, StringWalk((1,), (1,)))
+
+
+def test_a_string_visits_at_least_one_vertex_and_none_twice():
+    path = dynkin_orientation("A3")  # 0 -> 1 -> 2
+    assert not is_string(path, StringWalk((0, 1, 0), (1, -1)))
+    assert not is_string(path, StringWalk((), ()))
 
 
 def interval_indicators(n):

@@ -168,14 +168,15 @@ HEAVY = [
     "decimal",
     "concurrent.futures",
     "multiprocessing",
+    "random",
 ]
 
 
 @pytest.mark.parametrize("module", ["companion_bases", "companion_bases.cli"])
 def test_the_import_loads_none_of_the_heavy_modules(module):
     """-S keeps site's own imports out, so sys.modules holds what the import
-    brought: none of these, which only dataclasses, solve_fractions and the
-    verify-type-a process pool would use."""
+    brought: none of these, which only dataclasses, solve_fractions and
+    verify-type-a's process pool and sample mode would use."""
     probe = f"import sys, {module}; print(*sorted(m for m in {HEAVY!r} if m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
