@@ -53,9 +53,17 @@ EXIT_VERIFY = 5
 # its workers at once
 MAX_JOBS = 32
 
-# verify-type-a sample caps, checked before anything is drawn: one draw at
-# n = 150 took 1.0-1.2 s and 84 MB (2-core x86 VM, Python 3.11)
-MAX_SAMPLE_N = 150
+# verify-type-a exhaustive cap: 4862 triangulations at n = 8
+MAX_EXHAUSTIVE_N = 8
+
+# verify-type-a sample caps, checked before anything is drawn.  The draws fill
+# the memoized form rows of the one A_n root system, at most 16 bytes per pair
+# of positive roots (a row entry and its value grouping), and every record is
+# held, about 0.1 MB each at n = 75, until the output is written.  So at
+# n <= 75 any sample keeps a process under 256 MB: at n = 75, the whole table
+# (124 MB) filled and then 20 draws peaked at 149 MB (2-core x86 VM, Python
+# 3.11), and 980 more records add about 90 MB.
+MAX_SAMPLE_N = 75
 MAX_WALK_LENGTH = 1000
 
 
@@ -187,8 +195,9 @@ def cmd_verify_type_a(args) -> int:
         raise CommandError(f"--jobs must be at most {MAX_JOBS}", EXIT_PARSE)
     seed = _integer(args.seed, "--seed must be an ASCII integer")
     if args.mode == "exhaustive":
-        if n > 8:
-            raise CommandError("exhaustive mode is capped at n=8", EXIT_PARSE)
+        if n > MAX_EXHAUSTIVE_N:
+            message = f"exhaustive mode is capped at n={MAX_EXHAUSTIVE_N}"
+            raise CommandError(message, EXIT_PARSE)
         triangulations = enumerate_triangulations(n)
     else:
         if n > MAX_SAMPLE_N:
@@ -280,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["exhaustive", "sample"],
         default="exhaustive",
-        help="every triangulation (n at most 8) or a seeded random sample "
-        f"(n at most {MAX_SAMPLE_N})",
+        help=f"every triangulation (n at most {MAX_EXHAUSTIVE_N}) or a seeded random "
+        f"sample (n at most {MAX_SAMPLE_N}, which keeps a process under 256 MB)",
     )
     p.add_argument("--seed", default="0", help="seed of the sample (default 0)")
     p.add_argument(

@@ -66,11 +66,10 @@ class CompanionBasis:
     positive companion of the recognised type's determinant.  `_set` resets
     both, so every constructor yields a basis that knows neither.
 
-    `_recognized` is the ExchangeMatrix object recognised as of the basis's
-    type: set by companion_basis_for and initial_companion_basis to their B,
-    by _mutate_basis to mutate(B, k) when it was B (mutation keeps the type),
-    cleared by `_set`.  is_strong_companion_basis(psi, B) skips its cycle walk
-    only when `psi._recognized is B`.
+    `_recognized` is the ExchangeMatrix object that companion_basis_for
+    recognised as of the basis's type; `_set` clears it, so a basis built any
+    other way holds None.  is_strong_companion_basis(psi, B) skips its cycle
+    walk only when `psi._recognized is B`.
     """
 
     __slots__ = ("rs", "ids", "_gamma", "_inverse", "_checked", "_unimodular", "_recognized")
@@ -146,10 +145,6 @@ class CompanionBasis:
             raise ValueError(f"{alpha} is not a root")
         return tuple(abs(c) for c in self.expand(alpha))
 
-    def support(self, alpha) -> frozenset[int]:
-        """Vertices with a nonzero expansion coefficient."""
-        return frozenset(x for x, c in enumerate(self.d_vector(alpha)) if c)
-
 
 def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | None:
     """None when psi is a companion basis for B, else a diagnostic reason.
@@ -213,9 +208,7 @@ def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
         # recognition typed this very tree, so it is the Dynkin diagram
         raise RuntimeError("quiver is not an orientation of the Dynkin diagram it was typed as")
     rs = build_root_system(dynkin)
-    psi = CompanionBasis._from_ids(rs, tuple(rs.simple_first[i] for i in image))
-    psi._recognized = B
-    return psi
+    return CompanionBasis._from_ids(rs, tuple(rs.simple_first[i] for i in image))
 
 
 def sign_change(psi: CompanionBasis, vertices) -> CompanionBasis:
@@ -274,7 +267,8 @@ def _mutate_basis(
 
     Each reflection gamma_x - (gamma_x, gamma_k) gamma_k with x != k is an
     elementary column operation, so the result keeps psi's determinant +-1
-    and is flagged unimodular.
+    and is flagged unimodular.  It carries no recognised quiver (see
+    CompanionBasis), so a strongness check on it walks mutate(B, k).
     """
     mutated_B = mutate(B, k)
     _require_companion_basis(psi, B)
@@ -285,8 +279,6 @@ def _mutate_basis(
     ids = tuple(rs.reflect_handle(h, h_k) if b > 0 else h for h, b in zip(psi.ids, arrows))
     mutated = CompanionBasis._from_ids(rs, ids)
     mutated._unimodular = True
-    if psi._recognized is B:
-        mutated._recognized = mutated_B
     return mutated, mutated_B
 
 
@@ -303,15 +295,8 @@ class DVectorSet:
         if len(self.vectors) != len(by_root):
             raise RuntimeError("duplicate d-vector: invariant violation")
 
-    def root_of(self, d: DVector) -> Root:
-        """The root whose d-vector is d; KeyError if there is none."""
-        return dict(zip(self.by_root.values(), self.by_root))[tuple(d)]
-
-    def sorted_vectors(self) -> list[DVector]:
-        return sorted(self.vectors)
-
     def sorted_items(self) -> list[tuple[DVector, Root]]:
-        """(d-vector, root) pairs in the order of sorted_vectors."""
+        """(d-vector, root) pairs, the d-vectors in lexicographic order."""
         # d-vectors are distinct, so the sort never compares roots
         return sorted(zip(self.by_root.values(), self.by_root))
 
@@ -547,7 +532,7 @@ def phi_in_type_a(B: ExchangeMatrix, k: int) -> dict[DVector, DVector]:
 
 def dumps_d_vector_set(dset: DVectorSet) -> str:
     """Lexicographically sorted JSON array of the d-vectors; golden-file stable."""
-    return dump_json(dset.sorted_vectors())
+    return dump_json(sorted(dset.vectors))
 
 
 def dumps_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> str:

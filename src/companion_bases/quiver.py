@@ -95,21 +95,15 @@ class ExchangeMatrix(Frozen):
                     out.extend([(s, t)] * self.entries[s][t])
         return out
 
-    def underlying_edges(self) -> list[tuple[int, int]]:
-        return [
-            (x, y)
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-            if self.entries[x][y] != 0
-        ]
-
     def has_unit_entries(self) -> bool:
         return all(v in (-1, 0, 1) for row in self.entries for v in row)
 
     @cached_property
     def neighbours(self) -> tuple[frozenset[int], ...]:
         """Neighbour sets of the underlying graph, built on first use only."""
-        return neighbour_sets(self.n, self.underlying_edges())
+        n, rows = self.n, self.entries
+        edges = [(x, y) for x in range(n) for y in range(x + 1, n) if rows[x][y]]
+        return neighbour_sets(n, edges)
 
 
 def mutate_entries(rows, k: int):
@@ -297,8 +291,7 @@ def canonical_companion(B: ExchangeMatrix) -> SymMatrix:
 
 def _signed_companion(B: ExchangeMatrix, cycles) -> SymMatrix:
     """canonical_companion for the given cyclically oriented chordless cycles."""
-    # ascending (x, y), as underlying_edges lists them: the order numbers the
-    # GF(2) variables, so it fixes the signs
+    # ascending (x, y): the order numbers the GF(2) variables, so it fixes the signs
     edges = [(x, y) for x, adj in enumerate(B.neighbours) for y in sorted(adj) if y > x]
     edge_index = {e: i for i, e in enumerate(edges)}
     equations = []

@@ -131,13 +131,6 @@ class DynkinType(Frozen):
         """Neighbour sets of the Dynkin diagram, indexed by vertex."""
         return neighbour_sets(self.rank, self.edges())
 
-    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.rank
-        cart = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i, j in self.edges():
-            cart[i][j] = cart[j][i] = -1
-        return tuple(tuple(row) for row in cart)
-
     def positive_root_count(self) -> int:
         if self.family == "A":
             return self.rank * (self.rank + 1) // 2
@@ -312,14 +305,6 @@ class RootSystem:
         if tuple(-c for c in t) in self._index:
             return NEGATIVE_ROOT
         return NOT_ROOT
-
-    def reflect(self, a, mirror) -> Root:
-        """Reflection of a in the hyperplane orthogonal to a root."""
-        if self.classify(mirror) == NOT_ROOT:
-            raise ValueError(f"mirror {mirror} is not a root")
-        a = tuple(a)
-        c = self.inner(a, mirror)
-        return tuple(x - c * m for x, m in zip(a, mirror)) if c else a
 
 
 @lru_cache(maxsize=None)

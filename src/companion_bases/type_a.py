@@ -204,9 +204,6 @@ class StringWalk(Frozen):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "directions", directions)
 
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
     def __len__(self):
         return len(self.directions)
 
@@ -298,7 +295,7 @@ def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
     _require_type_a(psi.rs.dynkin)
     # psi's Gram matrix is a positive companion of B, so B is of psi's type
     # exactly when its chordless cycles are cyclically oriented (BGZ 2006);
-    # a basis recognised as this very B has walked them already
+    # a basis that companion_basis_for built for this very B has walked them
     if psi._recognized is not B:
         chordless_cycles(B, oriented=True)
     return _string_comparison(psi, B)[0]

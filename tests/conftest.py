@@ -1,12 +1,38 @@
 import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import companion_bases
 from companion_bases import ExchangeMatrix
 from companion_bases.companion import CompanionBasis
 from companion_bases.quiver import CYCLE_NOT_ORIENTED, cycle_edges, is_cyclically_oriented
 from companion_bases.root_system import DynkinType, build_root_system
+
+# The package's modules, which the structural guards scan, and the demo scripts.
+PACKAGE_MODULES = sorted(Path(companion_bases.__file__).resolve().parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def scoped_nodes(path: Path, prune=None):
+    """(scope, node) for every node of path's syntax tree but the module.
+
+    scope is the module's stem and the names of the functions and classes
+    enclosing node, dotted; a function or class is paired with its own dotted
+    name.  The children of a node for which prune(node) is true are skipped.
+    """
+    stack = [(path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            child_scope = f"{scope}.{child.name}" if isinstance(child, SCOPES) else scope
+            yield child_scope, child
+            if prune is None or not prune(child):
+                stack.append((child_scope, child))
+
 
 # A4 quiver made of an oriented triangle 1->2->3->1 with a pendant arrow 0->1;
 # the smallest quiver whose d-vectors are not plain root coordinates.

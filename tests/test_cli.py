@@ -300,7 +300,7 @@ def test_verify_type_a_enumerates_the_strings_once_per_triangulation(monkeypatch
     assert len(calls) == len(triangulations)
 
 
-def test_verify_type_a(tmp_path):
+def test_verify_type_a(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     assert run(["verify-type-a", "--n", 2, "--mode", "exhaustive", "--output", out]) == 0
     lines = [json.loads(line) for line in out.read_text().splitlines()]
@@ -346,7 +346,11 @@ def test_verify_type_a(tmp_path):
     assert again.read_bytes() == sampled.read_bytes()
 
     assert run(["verify-type-a", "--mode", "exhaustive"]) == 2
-    assert run(["verify-type-a", "--n", 9, "--mode", "exhaustive"]) == 2
+    capsys.readouterr()
+    assert run(["verify-type-a", "--n", cli.MAX_EXHAUSTIVE_N + 1, "--mode", "exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: exhaustive mode is capped at n={cli.MAX_EXHAUSTIVE_N}\n"
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import DEMOS
+
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_exist():

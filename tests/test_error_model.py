@@ -8,11 +8,9 @@ quiver._check_vertex, never an answer for another vertex.
 
 import random
 import re
-from pathlib import Path
 
 import pytest
 
-import companion_bases
 from companion_bases import companion, quiver, type_a
 from companion_bases.cli import main
 from companion_bases.companion import (
@@ -50,9 +48,7 @@ from companion_bases.type_a import (
     random_triangulation,
     string_dim_vector,
 )
-from conftest import dynkin_orientation
-
-PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
+from conftest import PACKAGE_MODULES, dynkin_orientation
 
 A4 = dynkin_orientation("A4")
 PSI_A4 = initial_companion_basis(A4)
@@ -156,7 +152,7 @@ def test_a_perm_of_bools_is_not_read_as_ints():
 
 def count_in_package(text: str) -> int:
     return sum(
-        path.read_text(encoding="utf-8").count(text) for path in PACKAGE_DIR.glob("*.py")
+        path.read_text(encoding="utf-8").count(text) for path in PACKAGE_MODULES
     )
 
 

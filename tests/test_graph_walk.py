@@ -104,7 +104,7 @@ def test_strings_match_the_induced_path_oracle():
     for B in quivers:
         walks = enumerate_strings(B)
         assert all(is_string(B, w) and w.vertices[0] <= w.vertices[-1] for w in walks)
-        supports = [w.vertex_set() for w in walks]
+        supports = [frozenset(w.vertices) for w in walks]
         assert len(set(supports)) == len(supports)
         assert set(supports) == induced_path_sets(B)
 

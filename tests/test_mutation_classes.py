@@ -74,6 +74,6 @@ def test_every_class_member_gets_a_basis_that_mutates_with_it(classes):
                     mutated, mutated_B = step(psi, B, k)
                     assert mutated_B.entries in entries
                     assert companion_basis_failure(mutated, mutated_B) is None
-                    assert mutated._recognized is mutated_B
+                    assert mutated._recognized is None
                     if dynkin.family == "A" and dynkin.rank == 4:
                         assert is_strong_companion_basis(mutated, mutated_B)

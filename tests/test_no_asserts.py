@@ -3,14 +3,10 @@
 import ast
 from pathlib import Path
 
-import companion_bases
-
-PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
-DEMOS_DIR = Path(__file__).resolve().parents[1] / "demos"
+from conftest import DEMOS, PACKAGE_MODULES
 
 
-def assert_statements(directory: Path) -> list[str]:
-    modules = sorted(directory.glob("*.py"))
+def assert_statements(modules: list[Path]) -> list[str]:
     assert modules
     return [
         f"{path.name}:{node.lineno}"
@@ -21,8 +17,8 @@ def assert_statements(directory: Path) -> list[str]:
 
 
 def test_library_modules_contain_no_assert_statements():
-    assert assert_statements(PACKAGE_DIR) == []
+    assert assert_statements(PACKAGE_MODULES) == []
 
 
 def test_demos_contain_no_assert_statements():
-    assert assert_statements(DEMOS_DIR) == []
+    assert assert_statements(DEMOS) == []

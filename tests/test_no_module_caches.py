@@ -8,9 +8,7 @@ too, so the list only shrinks.
 import ast
 from pathlib import Path
 
-import companion_bases
-
-PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
+from conftest import PACKAGE_MODULES, SCOPES, scoped_nodes
 
 # module.function, with enclosing functions and classes in the name
 ALLOWED = {"root_system.build_root_system"}
@@ -28,25 +26,16 @@ def is_cache(decorator: ast.expr) -> bool:
 
 
 def cached_functions(path: Path) -> set[str]:
-    found = set()
-    stack = [(path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path)))]
-    while stack:
-        prefix, node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = f"{prefix}.{child.name}"
-                if any(is_cache(d) for d in child.decorator_list):
-                    found.add(name)
-                stack.append((name, child))
-            else:
-                stack.append((prefix, child))
-    return found
+    return {
+        name
+        for name, node in scoped_nodes(path)
+        if isinstance(node, SCOPES) and any(map(is_cache, node.decorator_list))
+    }
 
 
 def test_only_the_listed_functions_are_cached():
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
-    assert modules
-    found = set().union(*(cached_functions(path) for path in modules))
+    assert PACKAGE_MODULES
+    found = set().union(*map(cached_functions, PACKAGE_MODULES))
     assert sorted(found - ALLOWED) == [], "new module cache"
     assert sorted(ALLOWED - found) == [], "no longer cached: remove it from ALLOWED"
 

@@ -8,9 +8,7 @@ shrinks.
 import ast
 from pathlib import Path
 
-import companion_bases
-
-PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
+from conftest import PACKAGE_MODULES, scoped_nodes
 
 # module.function, with enclosing functions and classes in the name
 ALLOWED: set[str] = set()
@@ -39,25 +37,16 @@ def calls_itself(function: ast.FunctionDef) -> bool:
 
 
 def recursive_functions(path: Path) -> set[str]:
-    found = set()
-    stack = [(path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path)))]
-    while stack:
-        prefix, node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = f"{prefix}.{child.name}"
-                if not isinstance(child, ast.ClassDef) and calls_itself(child):
-                    found.add(name)
-                stack.append((name, child))
-            else:
-                stack.append((prefix, child))
-    return found
+    return {
+        name
+        for name, node in scoped_nodes(path)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and calls_itself(node)
+    }
 
 
 def test_only_the_listed_functions_recurse():
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
-    assert modules
-    found = set().union(*(recursive_functions(path) for path in modules))
+    assert PACKAGE_MODULES
+    found = set().union(*map(recursive_functions, PACKAGE_MODULES))
     assert sorted(found - ALLOWED) == [], "new recursive function"
     assert sorted(ALLOWED - found) == [], "no longer recursive: remove it from ALLOWED"
 

@@ -9,9 +9,7 @@ package's __init__ imports only to re-export, so it is not scanned.
 import ast
 from pathlib import Path
 
-import companion_bases
-
-PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
+from conftest import PACKAGE_MODULES
 
 NOQA = "# noqa: F401"
 
@@ -38,7 +36,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_every_imported_name_is_used():
-    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    modules = [p for p in PACKAGE_MODULES if p.name != "__init__.py"]
     assert modules
     assert [name for path in modules for name in unused_imports(path)] == []
 

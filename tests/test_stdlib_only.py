@@ -9,9 +9,7 @@ import ast
 import sys
 from pathlib import Path
 
-import companion_bases
-
-PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
+from conftest import PACKAGE_MODULES
 
 
 def absolute_imports(path: Path) -> set[str]:
@@ -26,11 +24,10 @@ def absolute_imports(path: Path) -> set[str]:
 
 
 def test_the_package_imports_only_the_standard_library():
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
-    assert modules
+    assert PACKAGE_MODULES
     outside = sorted(
         f"{path.name}: {name}"
-        for path in modules
+        for path in PACKAGE_MODULES
         for name in absolute_imports(path)
         if name not in sys.stdlib_module_names
     )

@@ -214,7 +214,7 @@ def test_enumerate_strings_on_pendant_quiver():
     by_pair = {(w.vertices[0], w.vertices[-1]): w for w in walks if len(w) > 0}
     assert by_pair[(0, 3)].vertices == (0, 1, 3)
     assert by_pair[(0, 3)].directions == (1, -1)  # 0->1 forwards, 3->1 backwards
-    assert not any(w.vertex_set() == {0, 1, 2, 3} for w in walks)
+    assert not any(frozenset(w.vertices) == {0, 1, 2, 3} for w in walks)
 
 
 def test_string_dim_vector(pendant_basis):

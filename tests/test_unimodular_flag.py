@@ -13,17 +13,14 @@ raises on any other determinant, so the same scan also allows only `_set`
 and `CompanionBasis.inverse` to assign that slot.
 
 The recognised quiver (`_recognized`) lets the strongness check skip its
-chordless-cycle walk, which is sound only for a quiver that recognition
-walked (companion_basis_for, initial_companion_basis) or a mutation of it
-(_mutate_basis, since mutation keeps the Dynkin type); `_set` clears it.
+chordless-cycle walk, which is sound only for the quiver that
+companion_basis_for recognised; `_set` clears it.
 """
 
 import ast
 from pathlib import Path
 
-import companion_bases
-
-PACKAGE_DIR = Path(companion_bases.__file__).resolve().parent
+from conftest import PACKAGE_MODULES, scoped_nodes
 
 FLAG = "_unimodular"
 
@@ -51,6 +48,14 @@ def assignment_targets(node: ast.AST) -> list[ast.expr]:
     return []
 
 
+def is_slots(node: ast.AST) -> bool:
+    """Whether node is the assignment to __slots__, whose strings name the slots."""
+    return (
+        isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__slots__"]
+    )
+
+
 def flag_assignments(path: Path, flag: str = FLAG) -> list[tuple[str, object]]:
     """(enclosing function, assigned constant or None) for every write of flag.
 
@@ -59,40 +64,26 @@ def flag_assignments(path: Path, flag: str = FLAG) -> list[tuple[str, object]]:
     outside the class's __slots__.
     """
     found = []
-    stack = [(path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path)))]
-    while stack:
-        prefix, node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                stack.append((f"{prefix}.{child.name}", child))
-                continue
-            for target in assignment_targets(child):
-                if isinstance(target, ast.Attribute) and target.attr == flag:
-                    value = getattr(child, "value", None)
-                    constant = value.value if isinstance(value, ast.Constant) else None
-                    found.append((prefix, constant))
-            if (
-                isinstance(child, ast.Assign)
-                and [getattr(t, "id", None) for t in child.targets] == ["__slots__"]
-            ):
-                continue
-            if isinstance(child, ast.Constant) and child.value == flag:
-                found.append((prefix, "string"))
-            stack.append((prefix, child))
+    for scope, node in scoped_nodes(path, prune=is_slots):
+        for target in assignment_targets(node):
+            if isinstance(target, ast.Attribute) and target.attr == flag:
+                value = getattr(node, "value", None)
+                constant = value.value if isinstance(value, ast.Constant) else None
+                found.append((scope, constant))
+        if isinstance(node, ast.Constant) and node.value == flag:
+            found.append((scope, "string"))
     return found
 
 
 def test_the_flag_is_assigned_only_by_the_reset_and_by_mutation():
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
-    assert modules
-    found = [item for path in modules for item in flag_assignments(path)]
+    assert PACKAGE_MODULES
+    found = [item for path in PACKAGE_MODULES for item in flag_assignments(path)]
     assert sorted(found, key=str) == sorted(ALLOWED, key=str)
 
 
 def test_the_inverse_is_assigned_only_by_the_reset_and_by_inverse():
     # is_z_basis trusts a held inverse: lattice_inverse raises unless det = +-1
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
-    found = [item for path in modules for item in flag_assignments(path, "_inverse")]
+    found = [item for path in PACKAGE_MODULES for item in flag_assignments(path, "_inverse")]
     assert sorted(found, key=str) == [
         ("companion.CompanionBasis._set", None),
         ("companion.CompanionBasis.inverse", None),
@@ -100,14 +91,14 @@ def test_the_inverse_is_assigned_only_by_the_reset_and_by_inverse():
 
 
 def test_the_recognised_quiver_is_assigned_only_by_recognition_and_mutation():
-    # is_strong_companion_basis skips its cycle walk for the quiver held here
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
-    found = [item for path in modules for item in flag_assignments(path, "_recognized")]
+    # is_strong_companion_basis skips its cycle walk for the quiver held here,
+    # so only the construction that recognised that quiver writes it
+    found = [
+        item for path in PACKAGE_MODULES for item in flag_assignments(path, "_recognized")
+    ]
     assert sorted(found, key=str) == [
         ("companion.CompanionBasis._set", None),
-        ("companion._mutate_basis", None),
         ("companion.companion_basis_for", None),
-        ("companion.initial_companion_basis", None),
     ]
 
 
