@@ -58,11 +58,12 @@ MAX_EXHAUSTIVE_N = 8
 
 # verify-type-a sample caps, checked before anything is drawn.  The draws fill
 # the memoized form rows of the one A_n root system, at most 16 bytes per pair
-# of positive roots (a row entry and its value grouping), and every record is
-# held, about 0.1 MB each at n = 75, until the output is written.  So at
+# of positive roots (a row entry and its value grouping), and every record's
+# JSON line, not the record, is held until the output is written.  So at
 # n <= 75 any sample keeps a process under 256 MB: at n = 75, the whole table
 # (124 MB) filled and then 20 draws peaked at 149 MB (2-core x86 VM, Python
-# 3.11), and 980 more records add about 90 MB.
+# 3.11) while records were held, at about 0.1 MB each.  At n = 40, 1000 draws
+# peak at 33.6 MB, where holding the records peaked at 55.5 MB.
 MAX_SAMPLE_N = 75
 MAX_WALK_LENGTH = 1000
 
@@ -79,11 +80,14 @@ def _read(path: str | None) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
+    """text and a newline; written in two calls, so text is never copied."""
     if path is None or path == "-":
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+        fh.write("\n")
 
 
 def _load_matrix(args) -> ExchangeMatrix:
@@ -157,16 +161,16 @@ def cmd_dvectors(args) -> int:
         psi, B = loads_companion_basis(_read(args.input))
     except ValueError as exc:
         raise CommandError(str(exc), EXIT_PARSE) from None
-    # one elimination: the inverse, once computed, proves det = +-1 for the
-    # check; when there is none, the check's own elimination reports why
+    # one elimination: the d-vector solve proves det = +-1 and flags psi, so
+    # the check runs no determinant; when the solve fails, the check's own
+    # elimination reports why, and its message always comes first
     try:
-        psi.inverse()
-    except ValueError:
-        pass
-    failure = companion_basis_failure(psi, B)
+        dset, error = d_vector_set(psi), None
+    except (ValueError, RuntimeError) as exc:
+        dset, error = None, str(exc)
+    failure = companion_basis_failure(psi, B) or error
     if failure is not None:
         raise CommandError(failure, EXIT_SEARCH)
-    dset = d_vector_set(psi)
     rows = [{"d": d, "root": root} for d, root in dset.sorted_items()]
     report = {"type": str(psi.rs.dynkin), "count": len(rows), "vectors": rows}
     _write(args.output, dump_json(report))
@@ -207,36 +211,39 @@ def cmd_verify_type_a(args) -> int:
 
         rng = Random(seed)
         triangulations = [random_triangulation(n, rng) for _ in range(count)]
-    # output order; both maps below return records in input order
+    # output order; _records yields records in input order
     triangulations.sort(key=lambda T: T.diagonals)
-    workers = min(jobs, len(triangulations))
+    # each record becomes its JSON line as it arrives; only the lines are kept
+    lines: list[str] = []
+    strong = 0
     try:
-        if workers > 1:
-            # about four chunks per worker: at n = 8 a round trip per
-            # triangulation costs two workers more than the second one saves
-            size = max(1, len(triangulations) // (4 * workers))
-            # imported here: it brings multiprocessing, which no other command uses
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_verify_one, triangulations, chunksize=size))
-        else:
-            records = list(map(_verify_one, triangulations))
+        for record in _records(triangulations, min(jobs, len(triangulations))):
+            if record["strong"]:
+                strong += 1
+            lines.append(dump_json(record))
     except (ValueError, RuntimeError) as exc:
         raise CommandError(str(exc), EXIT_SEARCH) from None
-    lines = [dump_json(r) for r in records]
-    summary = {
-        "mode": args.mode,
-        "n": n,
-        "seed": seed,
-        "total": len(records),
-        "strong": sum(1 for r in records if r["strong"]),
-    }
+    summary = {"mode": args.mode, "n": n, "seed": seed, "total": len(lines), "strong": strong}
     lines.append(dump_json(summary))
     _write(args.output, "\n".join(lines))
     if args.verbose:
-        print(f"{summary['strong']}/{summary['total']} strong", file=sys.stderr)
-    return 0 if summary["strong"] == summary["total"] else EXIT_VERIFY
+        print(f"{strong}/{summary['total']} strong", file=sys.stderr)
+    return 0 if strong == summary["total"] else EXIT_VERIFY
+
+
+def _records(triangulations: list[Triangulation], workers: int):
+    """_verify_one's record of each triangulation, in order, from this many workers."""
+    if workers <= 1:
+        yield from map(_verify_one, triangulations)
+        return
+    # about four chunks per worker: at n = 8 a round trip per triangulation
+    # costs two workers more than the second one saves
+    size = max(1, len(triangulations) // (4 * workers))
+    # imported here: it brings multiprocessing, which no other command uses
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_verify_one, triangulations, chunksize=size)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,9 +11,8 @@ quiver alone.
 from __future__ import annotations
 
 from collections import deque
-from operator import add
 
-from .intlinalg import det_bareiss, mat_vec
+from .intlinalg import det_bareiss, mat_vec, solve_unimodular
 from .quiver import (
     ExchangeMatrix,
     _check_vertex,
@@ -61,10 +60,11 @@ class CompanionBasis:
     determinant.  `_inverse`, set only by `inverse`, holds the integer inverse,
     which lattice_inverse computes only when det = +-1.  `_unimodular` is set
     only by _mutate_basis, on a basis it derived by elementary column
-    operations from one that had passed its check, and by
-    companion_basis_for, on a basis whose Gram matrix it realized as a
-    positive companion of the recognised type's determinant.  `_set` resets
-    both, so every constructor yields a basis that knows neither.
+    operations from one that had passed its check, by companion_basis_for,
+    on a basis whose Gram matrix it realized as a positive companion of the
+    recognised type's determinant, and by d_vector_set, whose solve raises
+    unless det = +-1.  `_set` resets both, so every constructor yields a
+    basis that knows neither.
 
     `_recognized` is the ExchangeMatrix object that companion_basis_for
     recognised as of the basis's type; `_set` clears it, so a basis built any
@@ -121,9 +121,10 @@ class CompanionBasis:
         """Whether det of the basis matrix is +-1.
 
         True at once for a basis made by _mutate_basis or companion_basis_for,
-        whose determinant follows from how it was built, and for a basis that
-        holds its inverse, which lattice_inverse computes only when det = +-1.
-        Any other basis runs one elimination.
+        whose determinant follows from how it was built, for a basis whose
+        d-vectors d_vector_set has solved for, and for a basis that holds its
+        inverse: both solves raise unless det = +-1.  Any other basis runs one
+        elimination.
         """
         if self._unimodular or self._inverse is not None:
             return True
@@ -155,9 +156,9 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
     Both are immutable, so the remembered pass stays exact.  Any other B is
     checked in full, and a failure is never remembered.  The determinant of a
     basis made by mutate_inward, mutate_outward or companion_basis_for, or of
-    one that holds its inverse, is derived, not recomputed (see
-    CompanionBasis.is_z_basis); the pair scan always runs.  The check reads
-    only handles, never the coordinate tuples `gamma`.
+    one whose d-vectors or inverse were solved for, is derived, not recomputed
+    (see CompanionBasis.is_z_basis); the pair scan always runs.  The check
+    reads only handles, never the coordinate tuples `gamma`.
     """
     if psi._checked is B:
         return None
@@ -313,16 +314,18 @@ class DVectorSet:
 
 
 def d_vector_set(psi: CompanionBasis) -> DVectorSet:
-    """d-vectors of every positive root; cardinality always equals their number."""
-    # each root is its parent plus e_i, so its coefficients are the parent's
-    # plus column i of the inverse
-    columns = list(zip(*psi.inverse()))
-    coeffs: list[tuple[int, ...]] = []
-    for parent, i in psi.rs.positive_parents:
-        column = columns[i]
-        coeffs.append(column if parent < 0 else tuple(map(add, coeffs[parent], column)))
-    by_root = dict(zip(psi.rs.positive_roots, [tuple(map(abs, c)) for c in coeffs]))
-    return DVectorSet(by_root)
+    """d-vectors of every positive root; cardinality always equals their number.
+
+    One solve M X = P, M the basis matrix (its columns are gamma) and P the
+    packed root coordinates (RootSystem.packed_coordinates), gives each basis
+    element's coefficients as one packed row.  The solve raises ValueError
+    unless det M = +-1, so psi is then flagged unimodular.
+    """
+    rs = psi.rs
+    rows = solve_unimodular(list(zip(*psi.gamma)), [[c] for c in rs.packed_coordinates()])
+    psi._unimodular = True
+    coeffs = [rs.abs_fields(x) for (x,) in rows]
+    return DVectorSet(dict(zip(rs.positive_roots, zip(*coeffs))))
 
 
 def root_with_support_string(psi: CompanionBasis, walk) -> Root:

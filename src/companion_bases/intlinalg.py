@@ -119,17 +119,19 @@ def solve_fractions(rows, rhs) -> list[Fraction] | None:
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
-def inverse_unimodular(rows) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1, as an integer matrix.
+def solve_unimodular(rows, rhs) -> list[list[int]]:
+    """The integer solution X of M X = R, as rows, for a matrix M with det +-1.
 
-    The forward elimination of det_bareiss, run once on [M | I], yields the
+    The forward elimination of det_bareiss, run once on [M | R], yields the
     determinant and an equivalent triangular system; exact integer
-    back-substitution then solves all n columns at once.
+    back-substitution then solves every column of R at once.  Each step is
+    linear in R and divides only exact multiples, so one column may pack many
+    (companion.d_vector_set).
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    m = [list(r) + list(c) for r, c in zip(rows, rhs, strict=True)]
     det = _bareiss_eliminate(m, n)
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (determinant {det})")
@@ -150,7 +152,14 @@ def inverse_unimodular(rows) -> IntMatrix:
                 raise RuntimeError("inexact back-substitution: invariant violation")
             out.append(q)
         solution[i] = out
-    return tuple(tuple(row) for row in solution)
+    return solution
+
+
+def inverse_unimodular(rows) -> IntMatrix:
+    """Inverse of an integer matrix with determinant +-1: solve_unimodular on I."""
+    n = len(rows)
+    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return tuple(map(tuple, solve_unimodular(rows, identity)))
 
 
 def mat_vec(rows, vec) -> tuple[int, ...]:

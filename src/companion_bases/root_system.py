@@ -31,6 +31,11 @@ NOT_ROOT = "not_root"
 # constructors do not check it.
 MAX_RANK = 4000
 
+# Bits per field of a packed row (RootSystem.packed_coordinates), one byte,
+# and |c| of a field holding c + 2^(FIELD_BITS - 1), a bias that keeps it >= 0
+FIELD_BITS = 8
+_ABS_OF_BIASED = bytes(abs(b - (1 << (FIELD_BITS - 1))) for b in range(1 << FIELD_BITS))
+
 
 def parse_int(text: str) -> int:
     """An integer written as ASCII -?[0-9]+, with nothing around it.
@@ -159,6 +164,7 @@ class RootSystem:
     in index order, then the other positive roots in stored order;
     `with_form_value(p, w)` lists those with form value w against root p.
     `reflect_handle` reflects handles through a memoized int array per positive mirror.
+    `packed_coordinates`, for the d-vector solve, is also built on first use.
     """
 
     def __init__(self, dynkin: DynkinType):
@@ -204,6 +210,7 @@ class RootSystem:
         self._form_rows: list[tuple[int, ...] | None] = [None] * len(roots)
         self._reflection_rows: list[array | None] = [None] * len(roots)
         self._levels: list[dict[int, tuple[int, ...]] | None] = [None] * len(roots)
+        self._packed: tuple[int, ...] | None = None
 
     @property
     def rank(self) -> int:
@@ -294,6 +301,32 @@ class RootSystem:
                 for q, (alpha, c) in enumerate(zip(self.positive_roots, self.form_row(p)))
             ])
         return row[h] if h >= 0 else ~row[~h]
+
+    def packed_coordinates(self) -> tuple[int, ...]:
+        """P_i = sum_p (alpha_p)_i 2^(FIELD_BITS p) for each simple index i; memoized.
+
+        Solving M X = P for a basis matrix M gives one packed row per basis
+        element, its coefficient c_p in each positive root p, and `abs_fields`
+        reads |c_p| back exactly while |c_p| < 2^(FIELD_BITS - 1).  For every
+        Z-basis of the root lattice made of roots it is:
+        A_n: |c| <= 1, because the basis is a spanning tree of K_{n+1};
+        D_n: |c| <= 2, because it is a connected unicyclic signed graph with an unbalanced cycle;
+        E_n: |c| <= sqrt(2^n / det C) <= 16, by Cauchy-Schwarz in the Gram form A,
+        where c_x^2 <= 2 (A^-1)_xx, and Hadamard on the minor.
+        """
+        if self._packed is None:
+            columns = zip(*self.positive_roots)
+            self._packed = tuple(int.from_bytes(bytes(c), "little") for c in columns)
+        return self._packed
+
+    def abs_fields(self, x: int) -> bytes:
+        """|c_p| for each positive root p of a packed row x, in stored order.
+
+        Every field plus 2^(FIELD_BITS - 1) is nonnegative, so no borrow crosses a field.
+        """
+        n = len(self.positive_roots)
+        bias = int.from_bytes(bytes([1 << (FIELD_BITS - 1)]) * n, "little")
+        return (x + bias).to_bytes(n, "little").translate(_ABS_OF_BIASED)
 
     def classify(self, v) -> str:
         """Sort a coordinate vector into positive_root / negative_root / not_root."""

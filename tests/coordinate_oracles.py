@@ -1,5 +1,8 @@
-"""Coordinate oracles: the reflection and the Cartan matrix computed from
-their definitions, against which the library's table lookups are tested."""
+"""Coordinate oracles: the reflection, the Cartan matrix and the d-vectors
+computed from their definitions, against which the library's table lookups
+and its packed solve are tested."""
+
+from operator import add
 
 from companion_bases.root_system import NOT_ROOT, DynkinType, Root, RootSystem
 
@@ -19,3 +22,15 @@ def cartan_matrix(dynkin: DynkinType) -> tuple[tuple[int, ...], ...]:
     for i, j in dynkin.edges():
         cart[i][j] = cart[j][i] = -1
     return tuple(tuple(row) for row in cart)
+
+
+def d_vectors_by_parent_chain(psi) -> dict:
+    """Root -> d-vector over psi, from the inverse of the basis matrix."""
+    # each root is its parent plus e_i, so its coefficients are the parent's
+    # plus column i of the inverse
+    columns = list(zip(*psi.inverse()))
+    coeffs: list[tuple[int, ...]] = []
+    for parent, i in psi.rs.positive_parents:
+        column = columns[i]
+        coeffs.append(column if parent < 0 else tuple(map(add, coeffs[parent], column)))
+    return dict(zip(psi.rs.positive_roots, [tuple(map(abs, c)) for c in coeffs]))

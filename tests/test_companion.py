@@ -863,17 +863,32 @@ def count_inverses(monkeypatch):
     return calls
 
 
+def count_solves(monkeypatch):
+    """The list that gets one entry per solve_unimodular call made through companion."""
+    calls = []
+    original = companion.solve_unimodular
+
+    def counting(rows, rhs):
+        calls.append(rows)
+        return original(rows, rhs)
+
+    monkeypatch.setattr(companion, "solve_unimodular", counting)
+    return calls
+
+
 @pytest.mark.parametrize("label", ["A12", "D8", "E8"])
 def test_dvectors_eliminates_each_loaded_basis_once(label, tmp_path, capsys, monkeypatch):
     psi, B = random_walk_basis(label, 40, f"one-elimination:{label}")
     moved = transform(sign_change(psi, [0, 2]), word=[psi.rs.positive_roots[-1]])
     path = tmp_path / "basis.json"
     path.write_text(dumps_companion_basis(moved, B))
+    solves = count_solves(monkeypatch)
     eliminations = count_eliminations(monkeypatch)
     inverses = count_inverses(monkeypatch)
     assert main(["dvectors", "--input", str(path)]) == 0
-    # the inverse proves det = +-1, so the check runs no determinant of its own
-    assert (len(eliminations), len(inverses)) == (0, 1)
+    # the d-vector solve proves det = +-1, so the check runs no determinant
+    # of its own and no inverse is computed
+    assert (len(solves), len(eliminations), len(inverses)) == (1, 0, 0)
     report = json.loads(capsys.readouterr().out)
     assert {tuple(row["d"]) for row in report["vectors"]} == d_vector_set(psi).vectors
 

@@ -1,10 +1,11 @@
-"""Only three places in the library may assign CompanionBasis._unimodular.
+"""Only four places in the library may assign CompanionBasis._unimodular.
 
 A basis with the flag set skips its determinant (CompanionBasis.is_z_basis),
 which is sound only because _mutate_basis sets it on bases derived by
 elementary column operations from a checked one, companion_basis_for sets it
 on a basis whose Gram matrix is a positive companion A with |det A| = det C
-(so det M = +-1), and `_set`, which every constructor runs, resets it.  An
+(so det M = +-1), d_vector_set sets it after its solve, which raises unless
+det M = +-1, and `_set`, which every constructor runs, resets it.  An
 assignment anywhere else could mark an unchecked basis as a Z-basis, so this
 scan fails on it.
 
@@ -29,6 +30,7 @@ ALLOWED = [
     ("companion.CompanionBasis._set", False),
     ("companion._mutate_basis", True),
     ("companion.companion_basis_for", True),
+    ("companion.d_vector_set", True),
 ]
 
 
