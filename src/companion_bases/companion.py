@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .intlinalg import det_bareiss, mat_vec, solve_unimodular
+from .intlinalg import det_bareiss, solve_unimodular
 from .quiver import (
     ExchangeMatrix,
     _check_vertex,
@@ -50,21 +50,20 @@ class CompanionBasis:
 
     The basis is its root handles `ids` (see RootSystem.locate), so form
     values and reflections are table lookups.  `gamma`, the coordinate
-    tuples, is derived from the handles on first read and then kept, so a
-    mutation step and its check never build it.  The constructor locates the
-    vectors it is given; library code builds bases from handles with
-    `_from_ids`.  `_checked` is the ExchangeMatrix the basis last passed
+    tuples, is derived from the handles on each read, so a mutation step and
+    its check never build it.  The constructor locates the vectors it is
+    given; library code builds bases from handles with `_from_ids`.
+    `_checked` is the ExchangeMatrix the basis last passed
     companion_basis_failure against.
 
-    Two slots record that the basis is known to be a Z-basis without a
-    determinant.  `_inverse`, set only by `inverse`, holds the integer inverse,
-    which lattice_inverse computes only when det = +-1.  `_unimodular` is set
-    only by _mutate_basis, on a basis it derived by elementary column
-    operations from one that had passed its check, by companion_basis_for,
-    on a basis whose Gram matrix it realized as a positive companion of the
-    recognised type's determinant, and by d_vector_set, whose solve raises
-    unless det = +-1.  `_set` resets both, so every constructor yields a
-    basis that knows neither.
+    `_unimodular` records that the basis is known to be a Z-basis without a
+    determinant.  It is set only by _mutate_basis, on a basis it derived by
+    elementary column operations from one that had passed its check, by
+    companion_basis_for, on a basis whose Gram matrix it realized as a
+    positive companion of the recognised type's determinant, and by
+    `_solve`, the one solve on the basis matrix behind `expand` and
+    d_vector_set, which raises unless det = +-1.  `_set` resets it, so every
+    constructor yields a basis that does not know it.
 
     `_recognized` is the ExchangeMatrix object that companion_basis_for
     recognised as of the basis's type; `_set` clears it, so a basis built any
@@ -72,7 +71,7 @@ class CompanionBasis:
     walk only when `psi._recognized is B`.
     """
 
-    __slots__ = ("rs", "ids", "_gamma", "_inverse", "_checked", "_unimodular", "_recognized")
+    __slots__ = ("rs", "ids", "_checked", "_unimodular", "_recognized")
 
     def __init__(self, rs: RootSystem, gamma):
         gamma = [tuple(g) for g in gamma]
@@ -89,15 +88,13 @@ class CompanionBasis:
 
     def _set(self, rs: RootSystem, ids: tuple[int, ...]) -> None:
         self.rs, self.ids = rs, ids
-        self._gamma = self._inverse = self._checked = self._recognized = None
+        self._checked = self._recognized = None
         self._unimodular = False
 
     @property
     def gamma(self) -> tuple[Root, ...]:
-        """The elements' coordinate tuples, derived from `ids` on first read."""
-        if self._gamma is None:
-            self._gamma = tuple(map(self.rs.root, self.ids))
-        return self._gamma
+        """The elements' coordinate tuples, derived from `ids` on each read."""
+        return tuple(map(self.rs.root, self.ids))
 
     def __eq__(self, other):
         return (
@@ -113,20 +110,17 @@ class CompanionBasis:
         return f"CompanionBasis({self.rs.dynkin}, {list(self.gamma)})"
 
     def inverse(self):
-        if self._inverse is None:
-            self._inverse = lattice_inverse(self.gamma)
-        return self._inverse
+        return lattice_inverse(self.gamma)
 
     def is_z_basis(self) -> bool:
         """Whether det of the basis matrix is +-1.
 
         True at once for a basis made by _mutate_basis or companion_basis_for,
-        whose determinant follows from how it was built, for a basis whose
-        d-vectors d_vector_set has solved for, and for a basis that holds its
-        inverse: both solves raise unless det = +-1.  Any other basis runs one
-        elimination.
+        whose determinant follows from how it was built, and for a basis that
+        expand or d_vector_set has solved over: their one solve (`_solve`)
+        raises unless det = +-1.  Any other basis runs one elimination.
         """
-        if self._unimodular or self._inverse is not None:
+        if self._unimodular:
             return True
         # the rows of gamma are the columns of the basis matrix; det M^T = det M
         return det_bareiss(self.gamma) in (1, -1)
@@ -136,9 +130,23 @@ class CompanionBasis:
         form = self.rs.form
         return tuple(tuple(form(h, k) for k in self.ids) for h in self.ids)
 
+    def _solve(self, rhs) -> list[list[int]]:
+        """Rows of X in M X = (rhs as a column), M the basis matrix; the one solve.
+
+        It raises ValueError unless det M = +-1, so it flags the basis unimodular.
+        """
+        rows = solve_unimodular(list(zip(*self.gamma)), [[c] for c in rhs])
+        self._unimodular = True
+        return rows
+
     def expand(self, v) -> tuple[int, ...]:
-        """Coefficients of a lattice vector over this basis."""
-        return mat_vec(self.inverse(), tuple(v))
+        """Coefficients over this basis of a lattice vector of rank plain ints."""
+        v = tuple(v)
+        if len(v) != self.rs.rank:
+            raise ValueError("dimension mismatch")
+        if not set(map(type, v)) <= {int}:
+            raise ValueError("coordinates must be plain integers")
+        return tuple(x for (x,) in self._solve(v))
 
     def d_vector(self, alpha) -> DVector:
         """Componentwise absolute expansion coefficients; equal for alpha and -alpha."""
@@ -156,9 +164,9 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
     Both are immutable, so the remembered pass stays exact.  Any other B is
     checked in full, and a failure is never remembered.  The determinant of a
     basis made by mutate_inward, mutate_outward or companion_basis_for, or of
-    one whose d-vectors or inverse were solved for, is derived, not recomputed
-    (see CompanionBasis.is_z_basis); the pair scan always runs.  The check
-    reads only handles, never the coordinate tuples `gamma`.
+    one that expand or d_vector_set has solved over, is derived, not
+    recomputed (see CompanionBasis.is_z_basis); the pair scan always runs.
+    The check reads only handles, never the coordinate tuples `gamma`.
     """
     if psi._checked is B:
         return None
@@ -316,15 +324,13 @@ class DVectorSet:
 def d_vector_set(psi: CompanionBasis) -> DVectorSet:
     """d-vectors of every positive root; cardinality always equals their number.
 
-    One solve M X = P, M the basis matrix (its columns are gamma) and P the
+    One solve M X = P (CompanionBasis._solve), M the basis matrix and P the
     packed root coordinates (RootSystem.packed_coordinates), gives each basis
     element's coefficients as one packed row.  The solve raises ValueError
-    unless det M = +-1, so psi is then flagged unimodular.
+    unless det M = +-1, and flags psi unimodular when it returns.
     """
     rs = psi.rs
-    rows = solve_unimodular(list(zip(*psi.gamma)), [[c] for c in rs.packed_coordinates()])
-    psi._unimodular = True
-    coeffs = [rs.abs_fields(x) for (x,) in rows]
+    coeffs = [rs.abs_fields(x) for (x,) in psi._solve(rs.packed_coordinates())]
     return DVectorSet(dict(zip(rs.positive_roots, zip(*coeffs))))
 
 

@@ -1,12 +1,10 @@
-"""Exact integer linear algebra: determinants, solving, inversion, GF(2) systems.
+"""Exact integer linear algebra: determinants, solving, GF(2) systems.
 
 Everything here works on plain Python integers, so results are exact at any
 size; there is no overflow path.
 """
 
 from __future__ import annotations
-
-IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def _bareiss_eliminate(m: list[list[int]], n: int) -> int:
@@ -153,13 +151,6 @@ def solve_unimodular(rows, rhs) -> list[list[int]]:
             out.append(q)
         solution[i] = out
     return solution
-
-
-def inverse_unimodular(rows) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1: solve_unimodular on I."""
-    n = len(rows)
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return tuple(map(tuple, solve_unimodular(rows, identity)))
 
 
 def mat_vec(rows, vec) -> tuple[int, ...]:

@@ -457,7 +457,7 @@ def _rank_field(data: dict) -> int:
 
 
 def loads_exchange_matrix(text: str) -> ExchangeMatrix:
-    """Read {"n": int, "b": [[int]]} or {"n": int, "arrows": [[s,t]]}."""
+    """Read {"n": int, "b": [[int]]} or {"n": int, "arrows": [[s,t]]}, not both."""
     return exchange_matrix_from_data(load_json(text))
 
 
@@ -466,6 +466,8 @@ def exchange_matrix_from_data(data) -> ExchangeMatrix:
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("expected an object with an 'n' field")
     n = _rank_field(data)
+    if "b" in data and "arrows" in data:
+        raise ValueError("expected a 'b' matrix or an 'arrows' list, not both")
     if "b" in data:
         return ExchangeMatrix(int_rows(data["b"], n, n, "b"))
     if "arrows" in data:

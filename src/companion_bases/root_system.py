@@ -12,7 +12,7 @@ from array import array
 from functools import lru_cache
 from operator import attrgetter
 
-from .intlinalg import inverse_unimodular
+from .intlinalg import solve_unimodular
 
 # bench/test_bench.py checks that tracing wraps det_bareiss here too
 from .intlinalg import det_bareiss  # noqa: F401
@@ -228,12 +228,8 @@ class RootSystem:
             raise ValueError("dimension mismatch")
         return sum(x * y for x, y in zip(a, self._image(b)))
 
-    def locate(self, v) -> int:
-        """Handle of a root: p for positive root p, ~p for its negative.
-
-        Raises ValueError on a vector of the wrong length or one that is not
-        a root (the zero vector included).
-        """
+    def _handle(self, v) -> int | None:
+        """Handle of v when it is a root, else None; ValueError on a wrong length."""
         if len(v) != self.rank:
             raise ValueError("dimension mismatch")
         t = tuple(v)
@@ -241,9 +237,18 @@ class RootSystem:
         if p is not None:
             return p
         p = self._index.get(tuple(-c for c in t))
-        if p is not None:
-            return ~p
-        raise ValueError(f"{t} is not a root")
+        return None if p is None else ~p
+
+    def locate(self, v) -> int:
+        """Handle of a root: p for positive root p, ~p for its negative.
+
+        Raises ValueError on a vector of the wrong length or one that is not
+        a root (the zero vector included).
+        """
+        h = self._handle(v)
+        if h is None:
+            raise ValueError(f"{tuple(v)} is not a root")
+        return h
 
     def root(self, h: int) -> Root:
         """The root with handle h; the inverse of locate."""
@@ -330,14 +335,10 @@ class RootSystem:
 
     def classify(self, v) -> str:
         """Sort a coordinate vector into positive_root / negative_root / not_root."""
-        if len(v) != self.rank:
-            raise ValueError("dimension mismatch")
-        t = tuple(v)
-        if t in self._index:
-            return POSITIVE_ROOT
-        if tuple(-c for c in t) in self._index:
-            return NEGATIVE_ROOT
-        return NOT_ROOT
+        h = self._handle(v)
+        if h is None:
+            return NOT_ROOT
+        return POSITIVE_ROOT if h >= 0 else NEGATIVE_ROOT
 
 
 @lru_cache(maxsize=None)
@@ -431,15 +432,10 @@ def apply_automorphism(perm, v) -> Root:
     return tuple(out)
 
 
-def basis_columns(basis) -> tuple[tuple[int, ...], ...]:
-    """Matrix whose columns are the given coordinate vectors."""
+def lattice_inverse(basis) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix sending simple coordinates to basis coefficients: a solve on I."""
     n = len(basis)
     if any(len(b) != n for b in basis):
         raise ValueError("basis vectors must have length equal to their number")
-    return tuple(tuple(basis[x][i] for x in range(n)) for i in range(n))
-
-
-def lattice_inverse(basis) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix sending simple coordinates to basis coefficients."""
-    return inverse_unimodular(basis_columns(basis))
-
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return tuple(map(tuple, solve_unimodular(list(zip(*basis)), identity)))

@@ -171,6 +171,20 @@ def test_arrows_that_are_not_a_list_are_malformed_input(tmp_path, capsys, comman
     assert captured.err.splitlines() == ["error: 'arrows' must be a list"]
 
 
+BOTH_FIELDS = {"n": 2, "b": [[0, 1], [-1, 0]], "arrows": [[1, 0]]}
+
+
+@pytest.mark.parametrize("command", ["mutate", "recognize", "companion", "dvectors"])
+def test_a_quiver_with_both_b_and_arrows_is_malformed_input(tmp_path, capsys, command):
+    # dvectors reads the quiver embedded in its basis document
+    document = {**A2_BASIS, "quiver": BOTH_FIELDS} if command == "dvectors" else BOTH_FIELDS
+    src = tmp_path / "both.json"
+    src.write_text(json.dumps(document))
+    extra = ["--k", 0] if command == "mutate" else []
+    assert run([command, "--input", src, *extra]) == 2
+    assert_one_error_line(capsys, "expected a 'b' matrix or an 'arrows' list, not both")
+
+
 def test_companion_rejects_disconnected_quiver(tmp_path, capsys):
     src = tmp_path / "disconnected.json"
     src.write_text('{"n": 3, "arrows": [[0, 1]]}')

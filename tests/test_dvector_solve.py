@@ -114,6 +114,9 @@ def test_a_root_set_that_is_not_a_z_basis_raises_with_its_determinant(label):
         with pytest.raises(ValueError) as solve_error:
             d_vector_set(psi)
         assert str(solve_error.value) == message
+        with pytest.raises(ValueError) as expand_error:
+            psi.expand(psi.gamma[0])
+        assert str(expand_error.value) == message
         assert not psi.is_z_basis()
 
 

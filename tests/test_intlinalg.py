@@ -9,10 +9,10 @@ from companion_bases.intlinalg import (
     _bareiss_eliminate,
     det_bareiss,
     gf2_solve,
-    inverse_unimodular,
     mat_vec,
     positive_definite_det,
     solve_fractions,
+    solve_unimodular,
 )
 
 
@@ -191,13 +191,18 @@ def test_positive_definite_det_refuses_a_matrix_that_is_not_square():
             positive_definite_det(rows)
 
 
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_inverse_unimodular():
+    # the inverse of a matrix with det +-1 is its solve on the identity
     m = ((1, 1), (0, 1))
-    inv = inverse_unimodular(m)
-    assert inv == ((1, -1), (0, 1))
+    inv = solve_unimodular(m, eye(2))
+    assert inv == [[1, -1], [0, 1]]
     assert mat_vec(inv, mat_vec(m, (5, -3))) == (5, -3)
     with pytest.raises(ValueError, match="unimodular"):
-        inverse_unimodular(((2, 0), (0, 1)))
+        solve_unimodular(((2, 0), (0, 1)), eye(2))
 
 
 def inverse_fraction_oracle(rows):
@@ -241,7 +246,7 @@ def apply_row_operations(n, operations):
 def test_inverse_unimodular_on_elementary_products(case):
     n, operations = case
     m = apply_row_operations(n, operations)
-    inv = inverse_unimodular(m)
+    inv = tuple(map(tuple, solve_unimodular(m, eye(n))))
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     product = tuple(
         tuple(sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n))
@@ -266,15 +271,15 @@ def test_inverse_unimodular_on_elementary_products(case):
 def test_inverse_unimodular_rejects_other_determinants(rows, det):
     assert det_bareiss(rows) == det
     with pytest.raises(ValueError, match=f"unimodular \\(determinant {det}\\)"):
-        inverse_unimodular(rows)
+        solve_unimodular(rows, eye(len(rows)))
 
 
 def test_inverse_unimodular_edge_cases():
-    assert inverse_unimodular(()) == ()
-    assert inverse_unimodular(((-1,),)) == ((-1,),)
-    assert inverse_unimodular(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    assert solve_unimodular((), eye(0)) == []
+    assert solve_unimodular(((-1,),), eye(1)) == [[-1]]
+    assert solve_unimodular(((0, 1), (1, 0)), eye(2)) == [[0, 1], [1, 0]]
     with pytest.raises(ValueError, match="not square"):
-        inverse_unimodular(((1, 0),))
+        solve_unimodular(((1, 0),), eye(1))
 
 
 @given(

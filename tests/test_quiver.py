@@ -528,6 +528,26 @@ def test_empty_quiver_is_rejected_on_reading():
         loads_exchange_matrix('{"n": 0, "arrows": []}')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "b": [[0, 1], [-1, 0]], "arrows": [[1, 0]]}',
+        '{"n": 2, "b": [[0, 1], [-1, 0]], "arrows": [[0, 1]]}',
+        '{"n": 2, "b": "neither read", "arrows": 5}',
+    ],
+)
+def test_a_quiver_with_both_b_and_arrows_is_rejected_on_reading(text):
+    with pytest.raises(ValueError, match=r"^expected a 'b' matrix or an 'arrows' list, not both$"):
+        loads_exchange_matrix(text)
+
+
+def test_the_vertex_count_is_checked_before_the_two_fields():
+    with pytest.raises(ValueError, match="positive integer"):
+        loads_exchange_matrix('{"n": 0, "b": [], "arrows": []}')
+    with pytest.raises(ValueError, match="above the cap"):
+        loads_exchange_matrix(f'{{"n": {MAX_RANK + 1}, "b": [], "arrows": []}}')
+
+
 def test_dynkin_type_and_companion(pendant_quiver):
     for B in (pendant_quiver, dynkin_orientation("E7"), mutate(dynkin_orientation("D6"), 2)):
         assert dynkin_type_and_companion(B) == (dynkin_type_of(B), canonical_companion(B))

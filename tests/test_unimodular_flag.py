@@ -4,14 +4,13 @@ A basis with the flag set skips its determinant (CompanionBasis.is_z_basis),
 which is sound only because _mutate_basis sets it on bases derived by
 elementary column operations from a checked one, companion_basis_for sets it
 on a basis whose Gram matrix is a positive companion A with |det A| = det C
-(so det M = +-1), d_vector_set sets it after its solve, which raises unless
-det M = +-1, and `_set`, which every constructor runs, resets it.  An
-assignment anywhere else could mark an unchecked basis as a Z-basis, so this
-scan fails on it.
+(so det M = +-1), CompanionBasis._solve, the one solve behind expand and
+d_vector_set, sets it after the solve, which raises unless det M = +-1, and
+`_set`, which every constructor runs, resets it.  An assignment anywhere
+else could mark an unchecked basis as a Z-basis, so this scan fails on it.
 
-A held inverse (`_inverse`) proves det = +-1 as well, since lattice_inverse
-raises on any other determinant, so the same scan also allows only `_set`
-and `CompanionBasis.inverse` to assign that slot.
+No basis holds its inverse: is_z_basis trusts the flag alone, so the same
+scan finds no assignment of an `_inverse` slot.
 
 The recognised quiver (`_recognized`) lets the strongness check skip its
 chordless-cycle walk, which is sound only for the quiver that
@@ -30,7 +29,7 @@ ALLOWED = [
     ("companion.CompanionBasis._set", False),
     ("companion._mutate_basis", True),
     ("companion.companion_basis_for", True),
-    ("companion.d_vector_set", True),
+    ("companion.CompanionBasis._solve", True),
 ]
 
 
@@ -83,13 +82,10 @@ def test_the_flag_is_assigned_only_by_the_reset_and_by_mutation():
     assert sorted(found, key=str) == sorted(ALLOWED, key=str)
 
 
-def test_the_inverse_is_assigned_only_by_the_reset_and_by_inverse():
-    # is_z_basis trusts a held inverse: lattice_inverse raises unless det = +-1
+def test_no_basis_holds_an_inverse():
+    # is_z_basis trusts the flag alone; CompanionBasis.inverse computes afresh
     found = [item for path in PACKAGE_MODULES for item in flag_assignments(path, "_inverse")]
-    assert sorted(found, key=str) == [
-        ("companion.CompanionBasis._set", None),
-        ("companion.CompanionBasis.inverse", None),
-    ]
+    assert found == []
 
 
 def test_the_recognised_quiver_is_assigned_only_by_recognition_and_mutation():
