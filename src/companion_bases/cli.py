@@ -57,13 +57,12 @@ MAX_JOBS = 32
 MAX_EXHAUSTIVE_N = 8
 
 # verify-type-a sample caps, checked before anything is drawn.  The draws fill
-# the memoized form rows of the one A_n root system, at most 16 bytes per pair
-# of positive roots (a row entry and its value grouping), and every record's
-# JSON line, not the record, is held until the output is written.  So at
-# n <= 75 any sample keeps a process under 256 MB: at n = 75, the whole table
-# (124 MB) filled and then 20 draws peaked at 149 MB (2-core x86 VM, Python
-# 3.11) while records were held, at about 0.1 MB each.  At n = 40, 1000 draws
-# peak at 33.6 MB, where holding the records peaked at 55.5 MB.
+# the memoized form rows of the one A_n root system, 8 bytes per pair of
+# positive roots, and the +-1 candidate lists of the rows they place against,
+# and every record's JSON line is held until the output is written.  So at
+# n <= 75 any sample keeps a process under 256 MB: at n = 75 all form rows and
+# every +-1 list take 66 MB, and the worst case, 1000 draws, filled 714 of the
+# 2850 rows, held 12 MB of lines and peaked at 78 MB (2-core x86 VM, Python 3.11).
 MAX_SAMPLE_N = 75
 MAX_WALK_LENGTH = 1000
 
@@ -148,11 +147,7 @@ def cmd_recognize(args) -> int:
 
 def cmd_companion(args) -> int:
     B = _load_matrix(args)
-    try:
-        psi = companion_basis_for(B)
-    except (ValueError, RuntimeError) as exc:
-        raise CommandError(str(exc), EXIT_SEARCH) from None
-    _write(args.output, dumps_companion_basis(psi, B))
+    _write(args.output, dumps_companion_basis(companion_basis_for(B), B))
     return 0
 
 
@@ -216,13 +211,10 @@ def cmd_verify_type_a(args) -> int:
     # each record becomes its JSON line as it arrives; only the lines are kept
     lines: list[str] = []
     strong = 0
-    try:
-        for record in _records(triangulations, min(jobs, len(triangulations))):
-            if record["strong"]:
-                strong += 1
-            lines.append(dump_json(record))
-    except (ValueError, RuntimeError) as exc:
-        raise CommandError(str(exc), EXIT_SEARCH) from None
+    for record in _records(triangulations, min(jobs, len(triangulations))):
+        if record["strong"]:
+            strong += 1
+        lines.append(dump_json(record))
     summary = {"mode": args.mode, "n": n, "seed": seed, "total": len(lines), "strong": strong}
     lines.append(dump_json(summary))
     _write(args.output, "\n".join(lines))
@@ -332,6 +324,9 @@ def main(argv=None) -> int:
         message, code = exc.args
     except OSError as exc:
         message, code = exc, EXIT_PARSE
+    except (ValueError, RuntimeError) as exc:
+        # every reader has already turned its own ValueError into exit 2
+        message, code = exc, EXIT_SEARCH
     print(f"error: {message}", file=sys.stderr)
     return code
 

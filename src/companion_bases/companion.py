@@ -417,9 +417,9 @@ def _gram_realization(rs: RootSystem, A) -> tuple[int, ...] | None:
     form value with every root placed so far is the prescribed entry.
 
     Candidates are root handles, so every test is a form-table lookup: the
-    candidates come from the table as the roots with the prescribed value
-    against the breadth-first parent (RootSystem.with_form_value, in the order
-    above), and each other placed root removes those whose table entry differs.
+    candidates are the roots with the prescribed value against the breadth-first
+    parent (RootSystem.with_form_value, in the order above, memoized per root and
+    value), and each other placed root removes those whose table entry differs.
     """
     n = rs.rank
     order, parent = breadth_first([[u for u in range(n) if A[v][u]] for v in range(n)], 0)

@@ -160,9 +160,9 @@ class RootSystem:
     values of positive root p with every positive root; each row is computed
     on first use and memoized, since it depends on the type alone, so no
     method's result ever changes and every method is pure.
-    `simple_first` lists the positive handles with the simple roots first,
-    in index order, then the other positive roots in stored order;
-    `with_form_value(p, w)` lists those with form value w against root p.
+    `simple_first` lists the positive handles, the simple roots first in index
+    order, then the rest in stored order; `with_form_value(p, w)` lists those
+    with form value w against root p, memoized per pair (p, w) asked.
     `reflect_handle` reflects handles through a memoized int array per positive mirror.
     `packed_coordinates`, for the d-vector solve, is also built on first use.
     """
@@ -209,7 +209,7 @@ class RootSystem:
         ) + tuple(range(n, len(roots)))
         self._form_rows: list[tuple[int, ...] | None] = [None] * len(roots)
         self._reflection_rows: list[array | None] = [None] * len(roots)
-        self._levels: list[dict[int, tuple[int, ...]] | None] = [None] * len(roots)
+        self._with_value: dict[tuple[int, int], tuple[int, ...]] = {}
         self._packed: tuple[int, ...] | None = None
 
     @property
@@ -274,16 +274,14 @@ class RootSystem:
     def with_form_value(self, p: int, value: int) -> tuple[int, ...]:
         """Positive handles q with (alpha_p, alpha_q) = value, in simple_first order.
 
-        Grouped from form_row(p) on first use and memoized, like the row.
+        Filtered from form_row(p) on the first call for (p, value), memoized per pair.
         """
-        levels = self._levels[p]
-        if levels is None:
+        found = self._with_value.get((p, value))
+        if found is None:
             row = self.form_row(p)
-            grouped: dict[int, list[int]] = {}
-            for q in self.simple_first:
-                grouped.setdefault(row[q], []).append(q)
-            levels = self._levels[p] = {w: tuple(qs) for w, qs in grouped.items()}
-        return levels.get(value, ())
+            found = tuple(q for q in self.simple_first if row[q] == value)
+            self._with_value[p, value] = found
+        return found
 
     def form(self, h: int, k: int) -> int:
         """The bilinear form on two roots given by their handles; a lookup."""

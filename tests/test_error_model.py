@@ -223,6 +223,16 @@ def test_companion_exits_4_on_an_invariant_violation(monkeypatch, capsys):
     assert captured.err == "error: no roots of A3 realize the companion\n"
 
 
+@pytest.mark.parametrize("command", ["recognize", "companion"])
+def test_every_command_exits_4_on_an_invariant_violation(monkeypatch, capsys, command):
+    monkeypatch.setattr(quiver, "positive_definite_det", lambda A: 7)
+    assert main([command, "--type", "A3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "unrecognised determinant 7 at rank 3: not a Dynkin determinant"
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_a_triangulation_has_a_positive_rank(n):
     with pytest.raises(ValueError, match="^n must be positive$"):

@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
+from companion_bases import companion
 from companion_bases.companion import (
     companion_basis_failure,
     companion_basis_for,
@@ -19,7 +20,7 @@ from companion_bases.companion import (
     mutate_outward,
 )
 from companion_bases.quiver import ExchangeMatrix, recognize
-from companion_bases.root_system import DynkinType
+from companion_bases.root_system import DynkinType, RootSystem
 from companion_bases.type_a import is_strong_companion_basis
 
 from mutation_classes import CLASS_SIZES, mutation_class, orientation
@@ -77,3 +78,25 @@ def test_every_class_member_gets_a_basis_that_mutates_with_it(classes):
                     assert mutated._recognized is None
                     if dynkin.family == "A" and dynkin.rank == 4:
                         assert is_strong_companion_basis(mutated, mutated_B)
+
+
+def test_the_candidate_memo_holds_only_the_pairs_asked(classes, monkeypatch):
+    # a fresh D5, so the memo holds only what these realizations asked
+    rs = RootSystem(DynkinType("D", 5))
+    monkeypatch.setattr(companion, "build_root_system", lambda dynkin: rs)
+    asked = set()
+    with_form_value = rs.with_form_value
+
+    def spy(p, value):
+        asked.add((p, value))
+        return with_form_value(p, value)
+
+    monkeypatch.setattr(rs, "with_form_value", spy)
+    for B in classes[DynkinType("D", 5)]:
+        assert companion_basis_for(B).rs is rs
+    assert set(rs._with_value) == asked
+    # an entry of a finite-type companion is +-1, times two signs
+    assert {value for _, value in asked} == {1, -1}
+    for (p, value), found in rs._with_value.items():
+        row = rs.form_row(p)
+        assert found == tuple(q for q in rs.simple_first if row[q] == value)
