@@ -53,8 +53,8 @@ def main():
     print()
 
     print("strings and their dimension vectors:")
-    for walk in enumerate_strings(B):
-        print(f"   vertices {walk.vertices} -> {string_dim_vector(B, walk)}")
+    for vertices in enumerate_strings(B):
+        print(f"   vertices {vertices} -> {string_dim_vector(B, vertices)}")
     print()
 
     print("d-vectors equal string dimension vectors:", is_strong_companion_basis(psi, B))

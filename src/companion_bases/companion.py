@@ -29,7 +29,6 @@ from .quiver import (
     mutate_entries,
 )
 from .root_system import (
-    NOT_ROOT,
     DynkinType,
     Root,
     RootSystem,
@@ -150,7 +149,7 @@ class CompanionBasis:
 
     def d_vector(self, alpha) -> DVector:
         """Componentwise absolute expansion coefficients; equal for alpha and -alpha."""
-        if self.rs.classify(alpha) == NOT_ROOT:
+        if self.rs._handle(alpha) is None:
             raise ValueError(f"{alpha} is not a root")
         return tuple(abs(c) for c in self.expand(alpha))
 
@@ -244,9 +243,9 @@ def transform(psi: CompanionBasis, word=(), perm=None) -> CompanionBasis:
             raise ValueError(f"{perm} is not a diagram automorphism of {rs.dynkin}")
         ids = tuple(rs.locate(apply_automorphism(perm, g)) for g in psi.gamma)
     for letter in word:
-        if rs.classify(letter) == NOT_ROOT:
+        m = rs._handle(letter)
+        if m is None:
             raise ValueError(f"mirror {letter} is not a root")
-        m = rs.locate(letter)
         ids = tuple(rs.reflect_handle(h, m) for h in ids)
     return CompanionBasis._from_ids(rs, ids)
 
@@ -508,10 +507,14 @@ def inward_update_components(
     Returns (exact, estimate): the true new component, and the value computed
     from absolute coefficients alone.  Their difference is always even; in
     type A the two agree on realised d-vectors.  Raises IndexError unless k
-    is a vertex and ValueError unless psi is a companion basis for B.
+    is a vertex, then ValueError unless psi is a companion basis for B and
+    alpha is a root: a d-vector exists only for a root.
     """
     _check_vertex(k, B.n)
     _require_companion_basis(psi, B)
+    alpha = tuple(alpha)
+    if psi.rs._handle(alpha) is None:
+        raise ValueError(f"{alpha} is not a root")
     coeffs = psi.expand(alpha)
     form = psi.rs.form
     h_k = psi.ids[k]

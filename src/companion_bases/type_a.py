@@ -41,6 +41,9 @@ def _check_n(n) -> None:
 
 
 def _check_diagonal(n: int, d) -> Diagonal:
+    """The diagonal rule: ValueError unless d is a pair of plain ints (no bool)."""
+    if not isinstance(d, (tuple, list)) or len(d) != 2 or not set(map(type, d)) <= {int}:
+        raise ValueError(f"diagonal {d!r} is not a pair of plain integers")
     corners = n + 3
     i, j = d
     if not (1 <= i < j <= corners):
@@ -179,62 +182,24 @@ def relations_of(B: ExchangeMatrix) -> frozenset[ArrowPair]:
     return frozenset(pairs)
 
 
-class StringWalk(Frozen):
-    """A walk whose vertices are joined by an arrow exactly when consecutive.
+def is_string(B: ExchangeMatrix, vertices: tuple[int, ...]) -> bool:
+    """Whether a tuple of vertices induces a path traversed end to end.
 
-    directions[i] is +1 when the arrow runs vertices[i] -> vertices[i+1] and
-    -1 the other way; empty for the trivial walk at one vertex.  Both fields
-    are tuples, and a direction is the plain int 1 or -1 (True and 1.0 raise
-    ValueError); the vertices are checked against a quiver by is_string.
+    At least one vertex, none twice, and two joined by an arrow exactly when
+    consecutive; B gives the direction of each step.
     """
-
-    vertices: tuple[int, ...]
-    directions: tuple[int, ...]
-    _fields = ("vertices", "directions")
-
-    def __init__(self, vertices: tuple[int, ...], directions: tuple[int, ...]):
-        if not isinstance(vertices, tuple):
-            raise ValueError(f"walk vertices must be a tuple, not {vertices!r}")
-        if not isinstance(directions, tuple) or not all(
-            type(d) is int and d in (1, -1) for d in directions
-        ):
-            raise ValueError(
-                f"walk directions must be a tuple of 1 and -1, not {directions!r}"
-            )
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "directions", directions)
-
-    def __len__(self):
-        return len(self.directions)
-
-
-def _walk_from_vertices(B: ExchangeMatrix, vertices) -> StringWalk:
-    directions = []
-    for u, v in zip(vertices, vertices[1:]):
-        entry = B.entries[u][v]
-        if entry == 0:
-            # callers pass induced paths, whose consecutive vertices are joined
-            raise RuntimeError(f"vertices {u},{v} are consecutive but not joined: not a path")
-        directions.append(1 if entry > 0 else -1)
-    return StringWalk(tuple(vertices), tuple(directions))
-
-
-def is_string(B: ExchangeMatrix, walk: StringWalk) -> bool:
-    """Valid when the walk's vertices induce a path traversed end to end.
-
-    A walk needs exactly one direction per consecutive pair of vertices.
-    """
-    vs = walk.vertices
-    for v in vs:
+    if not isinstance(vertices, tuple):
+        raise ValueError(f"walk vertices must be a tuple, not {vertices!r}")
+    for v in vertices:
         _check_vertex(v, B.n)
-    if len(set(vs)) != len(vs) or not vs:
+    if len(set(vertices)) != len(vertices) or not vertices:
         return False
-    for i, u in enumerate(vs):
-        for j in range(i + 1, len(vs)):
-            joined = B.entries[u][vs[j]] != 0
+    for i, u in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            joined = B.entries[u][vertices[j]] != 0
             if joined != (j == i + 1):
                 return False
-    return _walk_from_vertices(B, vs).directions == walk.directions
+    return True
 
 
 def _require_type_a(dynkin: DynkinType) -> None:
@@ -258,15 +223,14 @@ def _string_paths(B: ExchangeMatrix) -> list[tuple[int, ...]]:
     ]
 
 
-def enumerate_strings(B: ExchangeMatrix) -> list[StringWalk]:
+def enumerate_strings(B: ExchangeMatrix) -> list[tuple[int, ...]]:
     """All strings up to reversal: one per vertex pair plus the trivial ones.
 
-    Canonical direction starts at the smaller endpoint; sorted by length then
+    Each is its vertex tuple, from the smaller endpoint; sorted by length then
     vertex sequence.
     """
     _require_type_a(dynkin_type_of(B))
-    paths = sorted(_string_paths(B), key=lambda path: (len(path), path))
-    return [_walk_from_vertices(B, path) for path in paths]
+    return sorted(_string_paths(B), key=lambda path: (len(path), path))
 
 
 def _indicator(n: int, vertices) -> DVector:
@@ -276,11 +240,11 @@ def _indicator(n: int, vertices) -> DVector:
     return tuple(indicator)
 
 
-def string_dim_vector(B: ExchangeMatrix, walk: StringWalk) -> DVector:
+def string_dim_vector(B: ExchangeMatrix, vertices: tuple[int, ...]) -> DVector:
     """Dimension vector of the module supported on a string: its 0/1 indicator."""
-    if not is_string(B, walk):
+    if not is_string(B, vertices):
         raise ValueError("walk is not a string of this quiver")
-    return _indicator(B.n, walk.vertices)
+    return _indicator(B.n, vertices)
 
 
 def indecomposable_dim_vectors(B: ExchangeMatrix) -> frozenset[DVector]:
@@ -325,6 +289,7 @@ def almost_positive_root_of_diagonal(n: int, d) -> Root:
     other diagonal carries the positive root summing the simple roots whose
     snake diagonals it crosses.
     """
+    _check_n(n)
     d = _check_diagonal(n, d)
     snake = _snake_diagonals(n)
     if d in snake:

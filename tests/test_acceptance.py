@@ -248,7 +248,7 @@ def test_criterion_9_string_combinatorics():
             B = quiver_from_triangulation(T)
             walks = enumerate_strings(B)
             assert len(walks) == n * (n + 1) // 2
-            pairs = {(w.vertices[0], w.vertices[-1]) for w in walks}
+            pairs = {(w[0], w[-1]) for w in walks}
             expected = {(a, b) for a in range(n) for b in range(a, n)}
             assert pairs == expected
     elapsed = time.perf_counter() - start

@@ -592,6 +592,19 @@ def test_inward_update_components_checks_the_vertex_and_the_basis(
         )
 
 
+
+@pytest.mark.parametrize("alpha", [(1, 0, 1, 0), [0, 0, 0, 0], (2, 1, 1, 1)], ids=repr)
+def test_inward_update_components_refuses_a_non_root(alpha):
+    # a d-vector exists only for a root; (1, 0, 1, 0) was answered (1, 1)
+    B = dynkin_orientation("A4")
+    psi = companion_basis_for(B)
+    message = f"{tuple(alpha)} is not a root"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        inward_update_components(psi, B, 1, alpha)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        psi.d_vector(tuple(alpha))
+    assert inward_update_components(psi, B, 1, (1, 1, 1, 0)) == (0, 0)
+
 @settings(max_examples=25, deadline=None)
 @given(
     label=st.sampled_from(["A4", "D4", "A6"]),

@@ -38,10 +38,8 @@ from companion_bases.quiver import (
 )
 from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
-    StringWalk,
     Triangulation,
     almost_positive_root_of_diagonal,
-    enumerate_strings,
     enumerate_triangulations,
     is_string,
     loads_triangulation,
@@ -68,8 +66,8 @@ VERTEX_CALLS = {
     "phi_in_type_a": lambda v: phi_in_type_a(A4, v),
     "sign_change": lambda v: sign_change(PSI_A4, [v]),
     "root_with_support_string": lambda v: root_with_support_string(PSI_A4, [0, v]),
-    "is_string": lambda v: is_string(A4, StringWalk((v,), ())),
-    "string_dim_vector": lambda v: string_dim_vector(A4, StringWalk((v,), ())),
+    "is_string": lambda v: is_string(A4, (v,)),
+    "string_dim_vector": lambda v: string_dim_vector(A4, (v,)),
     "simultaneous_sign_change": lambda v: simultaneous_sign_change(
         canonical_companion(A4), [v]
     ),
@@ -87,31 +85,13 @@ def test_every_vertex_argument_follows_the_one_rule(name, v):
         VERTEX_CALLS[name](v)
 
 
-@pytest.mark.parametrize("direction", [True, 1.0, False, -1.0, 0, 2, "1", None])
-def test_a_walk_direction_is_a_plain_one_or_minus_one(direction):
-    # True and 1.0 were read as the direction +1 of the arrow 0 -> 1
-    message = f"walk directions must be a tuple of 1 and -1, not {(direction,)!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        StringWalk((0, 1), (direction,))
-    walk = StringWalk((0, 1), (1,))
-    assert is_string(A4, walk) and string_dim_vector(A4, walk) == (1, 1, 0, 0)
-
-
-@pytest.mark.parametrize(
-    "vertices, directions, field",
-    [
-        ((0, 1), None, "directions"),
-        ((0, 1), [1], "directions"),
-        (None, (), "vertices"),
-        ([0, 1], (1,), "vertices"),
-        (0, (), "vertices"),
-    ],
-)
-def test_a_walk_holds_two_tuples(vertices, directions, field):
-    # a walk without directions failed with a bare TypeError
-    bad = repr(directions if field == "directions" else vertices)
-    with pytest.raises(ValueError, match=f"^walk {field} must be a tuple.*, not {re.escape(bad)}$"):
-        StringWalk(vertices, directions)
+@pytest.mark.parametrize("vertices", [None, [0, 1], 0], ids=repr)
+def test_a_walk_is_a_tuple(vertices):
+    message = f"walk vertices must be a tuple, not {vertices!r}"
+    for call in (is_string, string_dim_vector):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(A4, vertices)
+    assert is_string(A4, (0, 1)) and string_dim_vector(A4, (0, 1)) == (1, 1, 0, 0)
 
 
 @pytest.mark.parametrize("cycle", [(-3, 1, 2), (0, 1, 7), (0, True, 2), (0, 1, 2.0)])
@@ -183,11 +163,6 @@ def breaks_the_positive_determinant(monkeypatch):
     return lambda: dynkin_type_of(A4)
 
 
-def breaks_the_induced_paths(monkeypatch):
-    monkeypatch.setattr(type_a, "_string_paths", lambda B: [(0, 2)])
-    return lambda: enumerate_strings(A4)
-
-
 def breaks_the_snake_crossings(monkeypatch):
     monkeypatch.setattr(type_a, "diagonals_cross", lambda d1, d2: False)
     return lambda: almost_positive_root_of_diagonal(4, (1, 4))
@@ -204,7 +179,6 @@ def breaks_the_snake_crossings(monkeypatch):
             breaks_the_positive_determinant,
             "unrecognised determinant 7 at rank 4: not a Dynkin determinant",
         ),
-        (breaks_the_induced_paths, "vertices 0,2 are consecutive but not joined: not a path"),
         (breaks_the_snake_crossings, "diagonal (1, 4) crosses snake positions []: not one run"),
     ],
 )
@@ -240,6 +214,28 @@ def test_a_triangulation_has_a_positive_rank(n):
     with pytest.raises(ValueError, match="^n must be positive$"):
         random_triangulation(n, random.Random(0))
     assert random_triangulation(1, random.Random(0)).n == 1
+
+
+@pytest.mark.parametrize("d", [(True, 3), (1.0, 3), ("1", 3), (1.5, 4), (1, 3, 5), 13], ids=repr)
+def test_a_diagonal_is_a_pair_of_plain_ints(d):
+    # True and 1.0 were taken as corner 1, so a triangulation holding (True, 3)
+    # was written as [[true,3]], which loads_triangulation refuses; "1" and 13
+    # failed with a bare TypeError, and (1.5, 4) with the snake RuntimeError
+    message = f"^{re.escape(f'diagonal {d!r} is not a pair of plain integers')}$"
+    for n, diagonals in ((1, [d]), (2, [d, (1, 4)])):
+        with pytest.raises(ValueError, match=message):
+            Triangulation(n, diagonals)
+    with pytest.raises(ValueError, match=message):
+        almost_positive_root_of_diagonal(2, d)
+    assert Triangulation(2, [(1, 3), (1, 4)]).diagonals == ((1, 3), (1, 4))
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1", 0], ids=repr)
+def test_the_snake_root_follows_the_polygon_size_rule(n):
+    # True was read as n = 1 and answered (-1,)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        almost_positive_root_of_diagonal(n, (1, 3))
+    assert almost_positive_root_of_diagonal(1, (1, 3)) == (-1,)
 
 
 @pytest.mark.parametrize(

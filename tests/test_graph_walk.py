@@ -103,8 +103,8 @@ def test_strings_match_the_induced_path_oracle():
     assert len(quivers) == 2 + 5 + 14 + 42 + 132 + 429 + 1
     for B in quivers:
         walks = enumerate_strings(B)
-        assert all(is_string(B, w) and w.vertices[0] <= w.vertices[-1] for w in walks)
-        supports = [frozenset(w.vertices) for w in walks]
+        assert all(is_string(B, w) and w[0] <= w[-1] for w in walks)
+        supports = [frozenset(w) for w in walks]
         assert len(set(supports)) == len(supports)
         assert set(supports) == induced_path_sets(B)
 

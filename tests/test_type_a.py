@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -9,6 +9,7 @@ from companion_bases.companion import (
     CompanionBasis,
     companion_basis_failure,
     companion_basis_for,
+    root_with_support_string,
     sign_change,
 )
 from companion_bases.quiver import (
@@ -23,7 +24,6 @@ from companion_bases.quiver import (
 )
 from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
-    StringWalk,
     Triangulation,
     _non_crossing,
     almost_positive_root_of_diagonal,
@@ -198,53 +198,40 @@ def test_the_cycle_checks_stop_at_the_first_cycle_not_cyclically_oriented():
 
 def test_enumerate_strings_smallest():
     B = ExchangeMatrix.from_rows([[0]])
-    walks = enumerate_strings(B)
-    assert len(walks) == 1
-    assert walks[0].vertices == (0,)
-    assert walks[0].directions == ()
+    assert enumerate_strings(B) == [(0,)]
 
 
 def test_enumerate_strings_on_pendant_quiver():
     walks = enumerate_strings(PENDANT)
     assert len(walks) == 10
-    trivial = [w for w in walks if len(w) == 0]
+    trivial = [w for w in walks if len(w) == 1]
     assert len(trivial) == 4
-    endpoints = {(w.vertices[0], w.vertices[-1]) for w in walks if len(w) > 0}
+    endpoints = {(w[0], w[-1]) for w in walks if len(w) > 1}
     assert endpoints == {(a, b) for a in range(4) for b in range(a + 1, 4)}
-    by_pair = {(w.vertices[0], w.vertices[-1]): w for w in walks if len(w) > 0}
-    assert by_pair[(0, 3)].vertices == (0, 1, 3)
-    assert by_pair[(0, 3)].directions == (1, -1)  # 0->1 forwards, 3->1 backwards
-    assert not any(frozenset(w.vertices) == {0, 1, 2, 3} for w in walks)
+    by_pair = {(w[0], w[-1]): w for w in walks if len(w) > 1}
+    assert by_pair[(0, 3)] == (0, 1, 3)
+    assert not any(frozenset(w) == {0, 1, 2, 3} for w in walks)
 
 
 def test_string_dim_vector(pendant_basis):
-    trivial = StringWalk((2,), ())
-    assert string_dim_vector(PENDANT, trivial) == (0, 0, 1, 0)
-    two = StringWalk((1, 2), (1,))
-    assert string_dim_vector(PENDANT, two) == (0, 1, 1, 0)
-    assert not is_string(PENDANT, StringWalk((1, 2, 3), (1, 1)))
+    assert string_dim_vector(PENDANT, (2,)) == (0, 0, 1, 0)
+    assert string_dim_vector(PENDANT, (1, 2)) == (0, 1, 1, 0)
+    assert not is_string(PENDANT, (1, 2, 3))
     with pytest.raises(ValueError, match="not a string"):
-        string_dim_vector(PENDANT, StringWalk((1, 2, 3), (1, 1)))
-    with pytest.raises(ValueError, match="not a string"):
-        string_dim_vector(PENDANT, StringWalk((1, 2), (-1,)))  # wrong direction flag
+        string_dim_vector(PENDANT, (1, 2, 3))
 
 
 def test_a_walk_needs_one_direction_per_step():
+    # B gives each step's direction, so the vertices alone make the walk
     path = dynkin_orientation("A3")  # 0 -> 1 -> 2
-    assert is_string(path, StringWalk((0, 1, 2), (1, 1)))
-    assert string_dim_vector(path, StringWalk((0, 1, 2), (1, 1))) == (1, 1, 1)
-    for malformed in (StringWalk((0, 1, 2), ()), StringWalk((0,), (1, -1, 1))):
-        assert not is_string(path, malformed)
-        with pytest.raises(ValueError, match="not a string"):
-            string_dim_vector(path, malformed)
-    assert not is_string(path, StringWalk((0, 1, 2), (1,)))
-    assert not is_string(path, StringWalk((1,), (1,)))
+    assert is_string(path, (0, 1, 2))
+    assert string_dim_vector(path, (0, 1, 2)) == (1, 1, 1)
 
 
 def test_a_string_visits_at_least_one_vertex_and_none_twice():
     path = dynkin_orientation("A3")  # 0 -> 1 -> 2
-    assert not is_string(path, StringWalk((0, 1, 0), (1, -1)))
-    assert not is_string(path, StringWalk((), ()))
+    assert not is_string(path, (0, 1, 0))
+    assert not is_string(path, ())
 
 
 def interval_indicators(n):
@@ -313,30 +300,22 @@ def test_dim_vectors_match_the_walk_definition_on_drawn_and_fixed_quivers():
         assert indecomposable_dim_vectors(B) == dim_vectors_from_walks(B)
 
 
-# (diagonals, strings as (vertices, directions)) in enumerate_strings order
+# (diagonals, strings as vertex tuples) in enumerate_strings order
 PINNED_STRINGS = [
     (
         ((1, 3), (1, 5), (3, 5), (5, 7)),
-        [((0,), ()), ((1,), ()), ((2,), ()), ((3,), ()), ((0, 1), (1,)),
-         ((0, 2), (-1,)), ((1, 2), (1,)), ((1, 3), (-1,)), ((0, 1, 3), (1, -1)),
-         ((2, 1, 3), (-1, -1))],
+        [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (1, 3), (0, 1, 3), (2, 1, 3)],
     ),
     (
         ((1, 4), (2, 4), (4, 6), (4, 7), (4, 8)),
-        [((0,), ()), ((1,), ()), ((2,), ()), ((3,), ()), ((4,), ()),
-         ((0, 1), (1,)), ((0, 4), (-1,)), ((2, 3), (1,)), ((3, 4), (1,)),
-         ((0, 4, 3), (-1, -1)), ((1, 0, 4), (-1, -1)), ((2, 3, 4), (1, 1)),
-         ((0, 4, 3, 2), (-1, -1, -1)), ((1, 0, 4, 3), (-1, -1, -1)),
-         ((1, 0, 4, 3, 2), (-1, -1, -1, -1))],
+        [(0,), (1,), (2,), (3,), (4,), (0, 1), (0, 4), (2, 3), (3, 4), (0, 4, 3),
+         (1, 0, 4), (2, 3, 4), (0, 4, 3, 2), (1, 0, 4, 3), (1, 0, 4, 3, 2)],
     ),
     (
         ((1, 3), (1, 5), (1, 7), (3, 5), (5, 7), (7, 9)),
-        [((0,), ()), ((1,), ()), ((2,), ()), ((3,), ()), ((4,), ()), ((5,), ()),
-         ((0, 1), (1,)), ((0, 3), (-1,)), ((1, 2), (1,)), ((1, 3), (1,)),
-         ((1, 4), (-1,)), ((2, 4), (1,)), ((2, 5), (-1,)), ((0, 1, 2), (1, 1)),
-         ((0, 1, 4), (1, -1)), ((1, 2, 5), (1, -1)), ((2, 1, 3), (-1, 1)),
-         ((3, 1, 4), (-1, -1)), ((4, 2, 5), (-1, -1)), ((0, 1, 2, 5), (1, 1, -1)),
-         ((3, 1, 2, 5), (-1, 1, -1))],
+        [(0,), (1,), (2,), (3,), (4,), (5,), (0, 1), (0, 3), (1, 2), (1, 3), (1, 4),
+         (2, 4), (2, 5), (0, 1, 2), (0, 1, 4), (1, 2, 5), (2, 1, 3), (3, 1, 4),
+         (4, 2, 5), (0, 1, 2, 5), (3, 1, 2, 5)],
     ),
 ]
 
@@ -344,7 +323,33 @@ PINNED_STRINGS = [
 @pytest.mark.parametrize("diagonals,strings", PINNED_STRINGS)
 def test_enumerate_strings_keeps_its_walks_and_order(diagonals, strings):
     B = quiver_from_triangulation(Triangulation(len(diagonals), diagonals))
-    assert enumerate_strings(B) == [StringWalk(vs, ds) for vs, ds in strings]
+    assert enumerate_strings(B) == strings
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_two_string_readers_agree(n):
+    # is_string reads B's arrows, root_with_support_string the basis's form
+    # values; every tuple of at most 4 distinct vertices is tried on a basis
+    # and on a sign change of it
+    for T in enumerate_triangulations(n):
+        B = quiver_from_triangulation(T)
+        psi = companion_basis_for(B)
+        short = [s for s in enumerate_strings(B) if len(s) <= 4]
+        for basis in (psi, sign_change(psi, range(0, n, 2))):
+            found = 0
+            for length in range(1, 5):
+                for walk in permutations(range(n), length):
+                    try:
+                        root = root_with_support_string(basis, walk)
+                    except ValueError as exc:
+                        assert str(exc).startswith("walk is not a string: ")
+                        assert not is_string(B, walk), walk
+                        continue
+                    assert is_string(B, walk), walk
+                    assert basis.d_vector(root) == string_dim_vector(B, walk)
+                    found += 1
+            # each string of two or more vertices is tried in both directions
+            assert found == sum(2 if len(s) > 1 else 1 for s in short)
 
 
 # Two oriented triangles sharing the edge 1-2: gentle by relations_of's test,

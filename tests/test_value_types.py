@@ -1,6 +1,6 @@
-"""The four value types behave as the frozen dataclasses they replaced.
+"""The three value types behave as the frozen dataclasses they replaced.
 
-DynkinType, ExchangeMatrix, Triangulation and StringWalk are plain classes on
+DynkinType, ExchangeMatrix and Triangulation are plain classes on
 root_system.Frozen, so that importing the package does not import
 dataclasses.  Each is built by position and by keyword, compares and hashes
 by its fields within its own class only, prints a dataclass repr, refuses
@@ -20,7 +20,7 @@ import pytest
 import companion_bases
 from companion_bases.quiver import ExchangeMatrix, mutate
 from companion_bases.root_system import DynkinType, build_root_system
-from companion_bases.type_a import StringWalk, Triangulation
+from companion_bases.type_a import Triangulation
 
 SRC = str(Path(companion_bases.__file__).resolve().parents[1])
 
@@ -48,13 +48,6 @@ CASES = [
         {"n": 2, "diagonals": ((1, 4), (1, 3))},
         Triangulation(2, ((1, 3), (3, 5))),
         "Triangulation(n=2, diagonals=((1, 3), (1, 4)))",
-    ),
-    (
-        StringWalk,
-        ((0, 1), (1,)),
-        {"vertices": (0, 1), "directions": (1,)},
-        StringWalk((0, 1), (-1,)),
-        "StringWalk(vertices=(0, 1), directions=(1,))",
     ),
 ]
 
