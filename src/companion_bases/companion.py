@@ -17,6 +17,8 @@ from .quiver import (
     ExchangeMatrix,
     _check_vertex,
     _matrix_data,
+    _string_failure,
+    _vertices,
     dump_json,
     dynkin_type_and_companion,
     dynkin_type_of,
@@ -73,7 +75,7 @@ class CompanionBasis:
     __slots__ = ("rs", "ids", "_checked", "_unimodular", "_recognized")
 
     def __init__(self, rs: RootSystem, gamma):
-        gamma = [tuple(g) for g in gamma]
+        gamma = list(gamma)
         if len(gamma) != rs.rank:
             raise ValueError(f"expected {rs.rank} roots, got {len(gamma)}")
         self._set(rs, tuple(map(rs.locate, gamma)))
@@ -139,19 +141,12 @@ class CompanionBasis:
         return rows
 
     def expand(self, v) -> tuple[int, ...]:
-        """Coefficients over this basis of a lattice vector of rank plain ints."""
-        v = tuple(v)
-        if len(v) != self.rs.rank:
-            raise ValueError("dimension mismatch")
-        if not set(map(type, v)) <= {int}:
-            raise ValueError("coordinates must be plain integers")
-        return tuple(x for (x,) in self._solve(v))
+        """Coefficients over this basis of a lattice vector (read by RootSystem._vector)."""
+        return tuple(x for (x,) in self._solve(self.rs._vector(v)))
 
     def d_vector(self, alpha) -> DVector:
-        """Componentwise absolute expansion coefficients; equal for alpha and -alpha."""
-        if self.rs._handle(alpha) is None:
-            raise ValueError(f"{alpha} is not a root")
-        return tuple(abs(c) for c in self.expand(alpha))
+        """Componentwise absolute expansion coefficients of a root; equal for -alpha."""
+        return tuple(abs(c) for c in self.expand(self.rs.root(self.rs.locate(alpha))))
 
 
 def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | None:
@@ -221,9 +216,7 @@ def initial_companion_basis(B: ExchangeMatrix) -> CompanionBasis:
 
 def sign_change(psi: CompanionBasis, vertices) -> CompanionBasis:
     """Negate the elements at the given vertices, each in 0..n-1; an involution."""
-    flip = set(vertices)
-    for v in flip:
-        _check_vertex(v, psi.rs.rank)
+    flip = set(_vertices(vertices, psi.rs.rank))
     return CompanionBasis._from_ids(
         psi.rs, tuple(~h if x in flip else h for x, h in enumerate(psi.ids))
     )
@@ -242,7 +235,7 @@ def transform(psi: CompanionBasis, word=(), perm=None) -> CompanionBasis:
         if perm not in diagram_automorphisms(rs.dynkin) or not set(map(type, perm)) <= {int}:
             raise ValueError(f"{perm} is not a diagram automorphism of {rs.dynkin}")
         ids = tuple(rs.locate(apply_automorphism(perm, g)) for g in psi.gamma)
-    for letter in word:
+    for letter in map(rs._vector, word):
         m = rs._handle(letter)
         if m is None:
             raise ValueError(f"mirror {letter} is not a root")
@@ -336,29 +329,18 @@ def d_vector_set(psi: CompanionBasis) -> DVectorSet:
 def root_with_support_string(psi: CompanionBasis, walk) -> Root:
     """The positive root supported exactly on a string of vertices.
 
-    The walk must visit distinct vertices in 0..n-1 that are pairwise joined
-    by an arrow exactly when consecutive.  Computed by reflecting the first
-    element through the rest in order, then normalising the sign.
+    The walk is a string when the form joins its elements as quiver._string_failure
+    requires.  Computed by reflecting the first element through the rest in
+    order, then normalising the sign.
     """
-    walk = list(walk)
-    if not walk:
-        raise ValueError("walk is empty")
-    for x in walk:
-        _check_vertex(x, psi.rs.rank)
-    if len(set(walk)) != len(walk):
-        raise ValueError("walk revisits a vertex")
-    rs = psi.rs
-    for i, x in enumerate(walk):
-        for j in range(i + 1, len(walk)):
-            paired = rs.form(psi.ids[x], psi.ids[walk[j]]) != 0
-            if paired != (j == i + 1):
-                raise ValueError(
-                    f"walk is not a string: vertices {x},{walk[j]} "
-                    f"{'joined' if paired else 'not joined'}"
-                )
-    beta = psi.ids[walk[0]]
+    rs, ids = psi.rs, psi.ids
+    walk = _vertices(walk, rs.rank)
+    failure = _string_failure(walk, lambda u, v: rs.form(ids[u], ids[v]) != 0)
+    if failure is not None:
+        raise ValueError(failure)
+    beta = ids[walk[0]]
     for x in walk[1:]:
-        beta = rs.reflect_handle(beta, psi.ids[x])
+        beta = rs.reflect_handle(beta, ids[x])
     return rs.root(beta if beta >= 0 else ~beta)
 
 
@@ -512,10 +494,7 @@ def inward_update_components(
     """
     _check_vertex(k, B.n)
     _require_companion_basis(psi, B)
-    alpha = tuple(alpha)
-    if psi.rs._handle(alpha) is None:
-        raise ValueError(f"{alpha} is not a root")
-    coeffs = psi.expand(alpha)
+    coeffs = psi.expand(psi.rs.root(psi.rs.locate(alpha)))
     form = psi.rs.form
     h_k = psi.ids[k]
     incoming = [x for x in range(B.n) if B.entries[x][k] > 0]

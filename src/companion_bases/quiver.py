@@ -138,6 +138,17 @@ def _check_vertex(v, n: int) -> None:
         raise IndexError(f"vertex {v} out of range for n={n}")
 
 
+def _vertices(vertices, n: int) -> tuple[int, ...]:
+    """The one reader of a vertex collection: its tuple, each vertex by _check_vertex."""
+    try:
+        vertices = tuple(vertices)
+    except TypeError:
+        raise ValueError(f"vertices must be iterable, not {vertices!r}") from None
+    for v in vertices:
+        _check_vertex(v, n)
+    return vertices
+
+
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at vertex k; an involution preserving skew-symmetry.
 
@@ -184,6 +195,20 @@ def induced_paths(neighbours, start: int, floor: int):
             on_path.remove(path.pop())
 
 
+def _string_failure(walk: tuple[int, ...], joined) -> str | None:
+    """The one string rule: why walk is not a string, or None.  A string has at least
+    one vertex, none twice, and joined(u, v) exactly when u and v are consecutive."""
+    if len(set(walk)) != len(walk):
+        return "walk revisits a vertex"
+    for i, u in enumerate(walk):
+        for j in range(i + 1, len(walk)):
+            paired = joined(u, walk[j])
+            if paired != (j == i + 1):
+                state = "joined" if paired else "not joined"
+                return f"walk is not a string: vertices {u},{walk[j]} {state}"
+    return None if walk else "walk is empty"
+
+
 def chordless_cycles(
     B: ExchangeMatrix, *, oriented: bool = False
 ) -> list[tuple[int, ...]]:
@@ -228,8 +253,9 @@ def cycle_edges(cycle) -> list[tuple]:
 
 def is_cyclically_oriented(B: ExchangeMatrix, cycle) -> bool:
     """Whether the arrows along a chordless cycle all run one way."""
-    for v in cycle:
-        _check_vertex(v, B.n)
+    cycle = _vertices(cycle, B.n)
+    if not cycle:
+        raise ValueError("cycle is empty")
     forward = 0
     for u, v in cycle_edges(cycle):
         if B.entries[u][v] == 0:
@@ -239,19 +265,16 @@ def is_cyclically_oriented(B: ExchangeMatrix, cycle) -> bool:
 
 
 def cartan_counterpart(B: ExchangeMatrix) -> SymMatrix:
-    """Symmetric matrix with diagonal 2 and off-diagonal -|b_xy|."""
-    n = B.n
-    return tuple(
-        tuple(2 if x == y else -abs(B.entries[x][y]) for y in range(n))
-        for x in range(n)
-    )
+    """Diagonal 2 and off-diagonal -|b_xy|: with no cycle, every sign is free, so negative."""
+    return _signed_companion(B, ())
 
 
 def is_quasi_cartan(A) -> bool:
+    """Whether A is square and symmetric with diagonal 2, its entries plain ints (int_rows)."""
     n = len(A)
-    return all(len(row) == n for row in A) and all(
-        A[i][i] == 2 and all(A[i][j] == A[j][i] for j in range(n)) for i in range(n)
-    )
+    if any(len(row) != n for row in A) or not set(map(type, chain.from_iterable(A))) <= {int}:
+        return False
+    return all(A[i][i] == 2 and all(A[i][j] == A[j][i] for j in range(n)) for i in range(n))
 
 
 def is_companion_of(A, B: ExchangeMatrix) -> bool:
@@ -321,16 +344,16 @@ def is_positive_quasi_cartan(A) -> bool:
     (see positive_definite_det).
     """
     if not is_quasi_cartan(A):
-        raise ValueError("matrix is not symmetric with diagonal 2")
+        raise ValueError("matrix is not symmetric with diagonal 2 and plain-int entries")
     return positive_definite_det(A) > 0
 
 
 def simultaneous_sign_change(A, vertices) -> SymMatrix:
     """Flip the sign of rows and columns in the given vertex set at once."""
     n = len(A)
-    flip = set(vertices)
-    for v in flip:
-        _check_vertex(v, n)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
+    flip = set(_vertices(vertices, n))
     sign = [-1 if x in flip else 1 for x in range(n)]
     return tuple(
         tuple(sign[x] * sign[y] * A[x][y] for y in range(n)) for x in range(n)

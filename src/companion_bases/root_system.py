@@ -222,17 +222,24 @@ class RootSystem:
             2 * a - sum([alpha[j] for j in ns]) for a, ns in zip(alpha, self._neighbours)
         ]
 
+    def _vector(self, v) -> Root:
+        """The one reader of a root vector: tuple(v), ValueError unless rank plain ints."""
+        try:
+            t = tuple(v)
+        except TypeError:
+            raise ValueError(f"a root vector must be iterable, not {v!r}") from None
+        if len(t) != self.rank:
+            raise ValueError("dimension mismatch")
+        if not set(map(type, t)) <= {int}:
+            raise ValueError("coordinates must be plain integers")
+        return t
+
     def inner(self, a, b) -> int:
         """Bilinear form a . C b, C the Cartan matrix; equals 2 on every root."""
-        if len(a) != self.rank or len(b) != self.rank:
-            raise ValueError("dimension mismatch")
-        return sum(x * y for x, y in zip(a, self._image(b)))
+        return sum(x * y for x, y in zip(self._vector(a), self._image(self._vector(b))))
 
-    def _handle(self, v) -> int | None:
-        """Handle of v when it is a root, else None; ValueError on a wrong length."""
-        if len(v) != self.rank:
-            raise ValueError("dimension mismatch")
-        t = tuple(v)
+    def _handle(self, t: Root) -> int | None:
+        """Handle of a vector t read by _vector when it is a root, else None."""
         p = self._index.get(t)
         if p is not None:
             return p
@@ -242,12 +249,13 @@ class RootSystem:
     def locate(self, v) -> int:
         """Handle of a root: p for positive root p, ~p for its negative.
 
-        Raises ValueError on a vector of the wrong length or one that is not
-        a root (the zero vector included).
+        Raises ValueError on a vector _vector refuses or one that is not a
+        root (the zero vector included).
         """
-        h = self._handle(v)
+        t = self._vector(v)
+        h = self._handle(t)
         if h is None:
-            raise ValueError(f"{tuple(v)} is not a root")
+            raise ValueError(f"{t} is not a root")
         return h
 
     def root(self, h: int) -> Root:
@@ -333,7 +341,7 @@ class RootSystem:
 
     def classify(self, v) -> str:
         """Sort a coordinate vector into positive_root / negative_root / not_root."""
-        h = self._handle(v)
+        h = self._handle(self._vector(v))
         if h is None:
             return NOT_ROOT
         return POSITIVE_ROOT if h >= 0 else NEGATIVE_ROOT

@@ -15,8 +15,9 @@ from math import comb
 from .companion import CompanionBasis, DVector, _require_companion_basis, d_vector_set
 from .quiver import (
     ExchangeMatrix,
-    _check_vertex,
     _rank_field,
+    _string_failure,
+    _vertices,
     chordless_cycles,
     cycle_edges,
     dump_json,
@@ -182,24 +183,10 @@ def relations_of(B: ExchangeMatrix) -> frozenset[ArrowPair]:
     return frozenset(pairs)
 
 
-def is_string(B: ExchangeMatrix, vertices: tuple[int, ...]) -> bool:
-    """Whether a tuple of vertices induces a path traversed end to end.
-
-    At least one vertex, none twice, and two joined by an arrow exactly when
-    consecutive; B gives the direction of each step.
-    """
-    if not isinstance(vertices, tuple):
-        raise ValueError(f"walk vertices must be a tuple, not {vertices!r}")
-    for v in vertices:
-        _check_vertex(v, B.n)
-    if len(set(vertices)) != len(vertices) or not vertices:
-        return False
-    for i, u in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            joined = B.entries[u][vertices[j]] != 0
-            if joined != (j == i + 1):
-                return False
-    return True
+def is_string(B: ExchangeMatrix, vertices) -> bool:
+    """Whether a walk of vertices is an induced path of B (quiver._string_failure)."""
+    walk = _vertices(vertices, B.n)
+    return _string_failure(walk, lambda u, v: B.entries[u][v] != 0) is None
 
 
 def _require_type_a(dynkin: DynkinType) -> None:
@@ -240,11 +227,12 @@ def _indicator(n: int, vertices) -> DVector:
     return tuple(indicator)
 
 
-def string_dim_vector(B: ExchangeMatrix, vertices: tuple[int, ...]) -> DVector:
+def string_dim_vector(B: ExchangeMatrix, vertices) -> DVector:
     """Dimension vector of the module supported on a string: its 0/1 indicator."""
-    if not is_string(B, vertices):
+    walk = _vertices(vertices, B.n)
+    if not is_string(B, walk):
         raise ValueError("walk is not a string of this quiver")
-    return _indicator(B.n, vertices)
+    return _indicator(B.n, walk)
 
 
 def indecomposable_dim_vectors(B: ExchangeMatrix) -> frozenset[DVector]:

@@ -1179,7 +1179,12 @@ def test_every_library_basis_is_its_handles(label):
 
 
 def test_the_constructor_stores_plain_int_coordinates():
-    psi = CompanionBasis(A2, [(1.0, 0.0), (False, True)])
+    # the root-vector reader refuses floats and bools, which the constructor
+    # once stored as ints, and reads a list or an iterator as a tuple
+    for gamma in ([(1.0, 0.0), (0, 1)], [(1, 0), (False, True)]):
+        with pytest.raises(ValueError, match="^coordinates must be plain integers$"):
+            CompanionBasis(A2, gamma)
+    psi = CompanionBasis(A2, [[1, 0], iter((0, 1))])
     assert psi == PI_A2
     assert_one_root_representation(psi)
     assert repr(psi) == "CompanionBasis(A2, [(1, 0), (0, 1)])"

@@ -1,4 +1,5 @@
-"""One error model: one vertex rule, one size rule, one perm rule, one basis
+"""One error model: one vertex rule, one reader for a vertex collection and
+one for a root vector, one size rule, one perm rule, one basis
 precondition, and RuntimeError for every invariant violation.
 
 A vertex is a plain int in 0..n-1; anything else raises
@@ -31,9 +32,12 @@ from companion_bases.quiver import (
     canonical_companion,
     dynkin_type_of,
     is_cyclically_oriented,
+    is_positive_quasi_cartan,
+    is_quasi_cartan,
     loads_exchange_matrix,
     mutate,
     recognize,
+    satisfies_cycle_sign_condition,
     simultaneous_sign_change,
 )
 from companion_bases.root_system import DynkinType, build_root_system
@@ -85,13 +89,118 @@ def test_every_vertex_argument_follows_the_one_rule(name, v):
         VERTEX_CALLS[name](v)
 
 
-@pytest.mark.parametrize("vertices", [None, [0, 1], 0], ids=repr)
-def test_a_walk_is_a_tuple(vertices):
-    message = f"walk vertices must be a tuple, not {vertices!r}"
-    for call in (is_string, string_dim_vector):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(A4, vertices)
-    assert is_string(A4, (0, 1)) and string_dim_vector(A4, (0, 1)) == (1, 1, 0, 0)
+def outcome(call, value):
+    """call(value), or the type and message of the ValueError it raises."""
+    try:
+        return call(value)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# every argument that takes a collection of vertices, each on the walk 0-1-2
+# of the A4 path: a string, not a cycle
+VERTEX_COLLECTION_CALLS = {
+    "sign_change": lambda vs: sign_change(PSI_A4, vs),
+    "simultaneous_sign_change": lambda vs: simultaneous_sign_change(
+        canonical_companion(A4), vs
+    ),
+    "is_cyclically_oriented": lambda vs: is_cyclically_oriented(A4, vs),
+    "is_string": lambda vs: is_string(A4, vs),
+    "string_dim_vector": lambda vs: string_dim_vector(A4, vs),
+    "root_with_support_string": lambda vs: root_with_support_string(PSI_A4, vs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_COLLECTION_CALLS))
+@pytest.mark.parametrize("form", [tuple, list, iter], ids=lambda form: form.__name__)
+def test_a_vertex_collection_is_read_from_any_iterable(name, form):
+    # is_string and string_dim_vector refused a list, and none of them read an
+    # iterator like its tuple
+    call = VERTEX_COLLECTION_CALLS[name]
+    assert outcome(call, form((0, 1, 2))) == outcome(call, (0, 1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_COLLECTION_CALLS))
+@pytest.mark.parametrize("vertices", [None, 0], ids=repr)
+def test_a_vertex_collection_that_is_not_iterable_is_a_value_error(name, vertices):
+    # each raised a bare TypeError, or ValueError("walk vertices must be a tuple, ...")
+    message = f"^vertices must be iterable, not {vertices!r}$"
+    with pytest.raises(ValueError, match=message):
+        VERTEX_COLLECTION_CALLS[name](vertices)
+
+
+A4_ROOTS = PSI_A4.rs
+ROOT, NON_ROOT = (0, 1, 1, 0), (0, 2, 0, 0)
+
+# every argument that takes one root vector
+ROOT_VECTOR_CALLS = {
+    "RootSystem.locate": A4_ROOTS.locate,
+    "RootSystem.classify": A4_ROOTS.classify,
+    "RootSystem.inner, first": lambda v: A4_ROOTS.inner(v, ROOT),
+    "RootSystem.inner, second": lambda v: A4_ROOTS.inner(ROOT, v),
+    "CompanionBasis": lambda v: CompanionBasis(
+        A4_ROOTS, [(1, 0, 0, 0), (0, 1, 0, 0), v, (0, 0, 0, 1)]
+    ),
+    "CompanionBasis.expand": PSI_A4.expand,
+    "CompanionBasis.d_vector": PSI_A4.d_vector,
+    "inward_update_components": lambda v: inward_update_components(PSI_A4, A4, 1, v),
+    "transform": lambda v: transform(PSI_A4, word=[ROOT, v]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_VECTOR_CALLS))
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        (None, "a root vector must be iterable, not None"),
+        (5, "a root vector must be iterable, not 5"),
+        ((0, 1, 1), "dimension mismatch"),
+        ((0, 1, 1, 0, 0), "dimension mismatch"),
+        ((0, 1.0, 1, 0), "coordinates must be plain integers"),
+        ((False, True, True, False), "coordinates must be plain integers"),
+    ],
+    ids=repr,
+)
+def test_every_root_vector_argument_is_read_by_one_reader(name, v, message):
+    # None and 5 raised a bare TypeError in most of these; floats and bools
+    # were read as ints by every call but expand and its callers
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ROOT_VECTOR_CALLS[name](v)
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_VECTOR_CALLS))
+@pytest.mark.parametrize("v", [ROOT, NON_ROOT], ids=repr)
+@pytest.mark.parametrize("form", [list, iter], ids=lambda form: form.__name__)
+def test_a_root_vector_is_read_from_any_iterable(name, v, form):
+    # an iterator raised a bare TypeError, and a list that is not a root was
+    # printed as a list by d_vector and inward_update_components
+    call = ROOT_VECTOR_CALLS[name]
+    assert outcome(call, form(v)) == outcome(call, v)
+
+
+def test_a_cycle_has_a_vertex():
+    # the empty cycle raised a bare IndexError
+    with pytest.raises(ValueError, match="^cycle is empty$"):
+        is_cyclically_oriented(TRIANGLE, ())
+
+
+def test_a_sign_change_needs_a_square_matrix():
+    # the third column was dropped: the answer was ((2, 1), (1, 2))
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        simultaneous_sign_change(((2, -1, 0), (-1, 2, 0)), [0])
+
+
+@pytest.mark.parametrize(
+    "A", [((2.0, -1), (-1, 2)), ((2, -1.0), (-1.0, 2)), ((2, True), (True, 2))], ids=repr
+)
+def test_a_quasi_cartan_matrix_has_plain_int_entries(A):
+    # each was read as the int matrix it equals
+    assert not is_quasi_cartan(A)
+    message = "^matrix is not symmetric with diagonal 2 and plain-int entries$"
+    with pytest.raises(ValueError, match=message):
+        is_positive_quasi_cartan(A)
+    with pytest.raises(ValueError, match="^A is not a quasi-Cartan companion of B$"):
+        satisfies_cycle_sign_condition(A, ExchangeMatrix.from_arrows(2, [(0, 1)]))
 
 
 @pytest.mark.parametrize("cycle", [(-3, 1, 2), (0, 1, 7), (0, True, 2), (0, 1, 2.0)])
@@ -139,6 +248,11 @@ def count_in_package(text: str) -> int:
 def test_each_precondition_is_raised_in_one_place():
     assert count_in_package("out of range for n=") == 1
     assert count_in_package("invalid companion basis") == 1
+    # the root-vector reader, the vertex-collection reader and the string rule
+    assert count_in_package("dimension mismatch") == 1
+    assert count_in_package("coordinates must be plain integers") == 1
+    assert count_in_package("must be iterable, not") == 2
+    assert count_in_package("walk is not a string:") == 1
 
 
 def test_invariant_violations_are_runtime_errors(monkeypatch):

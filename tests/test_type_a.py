@@ -326,11 +326,21 @@ def test_enumerate_strings_keeps_its_walks_and_order(diagonals, strings):
     assert enumerate_strings(B) == strings
 
 
+def root_or_message(psi, walk):
+    """root_with_support_string(psi, walk), or the message of its ValueError."""
+    try:
+        return root_with_support_string(psi, walk)
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_the_two_string_readers_agree(n):
     # is_string reads B's arrows, root_with_support_string the basis's form
     # values; every tuple of at most 4 distinct vertices is tried on a basis
-    # and on a sign change of it
+    # and on a sign change of it, and each reader takes it also as a list
+    # and as an iterator
+    forms = (tuple, list, iter)
     for T in enumerate_triangulations(n):
         B = quiver_from_triangulation(T)
         psi = companion_basis_for(B)
@@ -339,14 +349,15 @@ def test_the_two_string_readers_agree(n):
             found = 0
             for length in range(1, 5):
                 for walk in permutations(range(n), length):
-                    try:
-                        root = root_with_support_string(basis, walk)
-                    except ValueError as exc:
-                        assert str(exc).startswith("walk is not a string: ")
-                        assert not is_string(B, walk), walk
+                    strings = {is_string(B, form(walk)) for form in forms}
+                    (root,) = {root_or_message(basis, form(walk)) for form in forms}
+                    if isinstance(root, str):
+                        assert root.startswith("walk is not a string: ")
+                        assert strings == {False}, walk
                         continue
-                    assert is_string(B, walk), walk
-                    assert basis.d_vector(root) == string_dim_vector(B, walk)
+                    assert strings == {True}, walk
+                    dims = {string_dim_vector(B, form(walk)) for form in forms}
+                    assert dims == {basis.d_vector(root)}
                     found += 1
             # each string of two or more vertices is tried in both directions
             assert found == sum(2 if len(s) > 1 else 1 for s in short)
