@@ -66,6 +66,9 @@ MAX_EXHAUSTIVE_N = 8
 MAX_SAMPLE_N = 75
 MAX_WALK_LENGTH = 1000
 
+# byte b of a d-vector key -> its JSON text and a comma, for str.translate
+_ENTRIES = tuple(f"{b}," for b in range(256))
+
 
 class CommandError(Exception):
     """A command that cannot finish; args are (message, exit code), printed by main."""
@@ -166,9 +169,12 @@ def cmd_dvectors(args) -> int:
     failure = companion_basis_failure(psi, B) or error
     if failure is not None:
         raise CommandError(failure, EXIT_SEARCH)
-    rows = [{"d": d, "root": root} for d, root in dset.sorted_items()]
-    report = {"type": str(psi.rs.dynkin), "count": len(rows), "vectors": rows}
-    _write(args.output, dump_json(report))
+    # dump_json's text of the report, written from the keys in sorted order
+    pairs = sorted(zip(dset.keys, psi.rs.json_fragments))
+    rows = ",".join(
+        [f'{{"d":[{k.decode("latin1").translate(_ENTRIES)[:-1]}],"root":{r}}}' for k, r in pairs]
+    )
+    _write(args.output, f'{{"count":{len(pairs)},"type":"{psi.rs.dynkin}","vectors":[{rows}]}}')
     return 0
 
 

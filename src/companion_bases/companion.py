@@ -34,6 +34,7 @@ from .root_system import (
     DynkinType,
     Root,
     RootSystem,
+    _read_tuple,
     apply_automorphism,
     breadth_first,
     build_root_system,
@@ -75,7 +76,7 @@ class CompanionBasis:
     __slots__ = ("rs", "ids", "_checked", "_unimodular", "_recognized")
 
     def __init__(self, rs: RootSystem, gamma):
-        gamma = list(gamma)
+        gamma = _read_tuple(gamma, "gamma")
         if len(gamma) != rs.rank:
             raise ValueError(f"expected {rs.rank} roots, got {len(gamma)}")
         self._set(rs, tuple(map(rs.locate, gamma)))
@@ -231,11 +232,11 @@ def transform(psi: CompanionBasis, word=(), perm=None) -> CompanionBasis:
     """
     rs, ids = psi.rs, psi.ids
     if perm is not None:
-        perm = tuple(perm)
+        perm = _read_tuple(perm, "perm")
         if perm not in diagram_automorphisms(rs.dynkin) or not set(map(type, perm)) <= {int}:
             raise ValueError(f"{perm} is not a diagram automorphism of {rs.dynkin}")
         ids = tuple(rs.locate(apply_automorphism(perm, g)) for g in psi.gamma)
-    for letter in map(rs._vector, word):
+    for letter in map(rs._vector, _read_tuple(word, "word")):
         m = rs._handle(letter)
         if m is None:
             raise ValueError(f"mirror {letter} is not a root")
@@ -286,31 +287,39 @@ def _mutate_basis(
 class DVectorSet:
     """The d-vectors of all positive roots over one companion basis.
 
-    Holds the bijection root <-> d-vector; construction fails loudly if two
-    roots ever collide, which would break a structural invariant.
+    `keys[p]` is positive root p's d-vector as bytes, which compare as tuples
+    of 0..255 do; `vectors` and `by_root` are tuple views, built on each read.
+    Two roots with one d-vector would break an invariant: RuntimeError.
     """
 
-    def __init__(self, by_root: dict[Root, DVector]):
-        self.by_root = by_root
-        self.vectors = frozenset(by_root.values())
-        if len(self.vectors) != len(by_root):
+    def __init__(self, rs: RootSystem, keys):
+        self.rs, self.keys = rs, tuple(keys)
+        self.key_set = frozenset(self.keys)
+        if len(self.key_set) != len(self.keys):
             raise RuntimeError("duplicate d-vector: invariant violation")
+
+    @property
+    def vectors(self) -> frozenset[DVector]:
+        return frozenset(map(tuple, self.keys))
+
+    @property
+    def by_root(self) -> dict[Root, DVector]:
+        return dict(zip(self.rs.positive_roots, map(tuple, self.keys)))
 
     def sorted_items(self) -> list[tuple[DVector, Root]]:
         """(d-vector, root) pairs, the d-vectors in lexicographic order."""
-        # d-vectors are distinct, so the sort never compares roots
-        return sorted(zip(self.by_root.values(), self.by_root))
+        return [(tuple(k), root) for k, root in sorted(zip(self.keys, self.rs.positive_roots))]
 
     def __len__(self):
-        return len(self.by_root)
+        return len(self.key_set)
 
     def __eq__(self, other):
         if isinstance(other, DVectorSet):
-            return self.vectors == other.vectors
+            return self.key_set == other.key_set
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.vectors)
+        return hash(self.key_set)
 
 
 def d_vector_set(psi: CompanionBasis) -> DVectorSet:
@@ -318,12 +327,11 @@ def d_vector_set(psi: CompanionBasis) -> DVectorSet:
 
     One solve M X = P (CompanionBasis._solve), M the basis matrix and P the
     packed root coordinates (RootSystem.packed_coordinates), gives each basis
-    element's coefficients as one packed row.  The solve raises ValueError
-    unless det M = +-1, and flags psi unimodular when it returns.
+    element's coefficients as one packed row, read back by RootSystem.abs_keys.
+    The solve raises ValueError unless det M = +-1, and otherwise flags psi unimodular.
     """
     rs = psi.rs
-    coeffs = [rs.abs_fields(x) for (x,) in psi._solve(rs.packed_coordinates())]
-    return DVectorSet(dict(zip(rs.positive_roots, zip(*coeffs))))
+    return DVectorSet(rs, rs.abs_keys(x for (x,) in psi._solve(rs.packed_coordinates)))
 
 
 def root_with_support_string(psi: CompanionBasis, walk) -> Root:
@@ -476,9 +484,8 @@ def mutation_map_inward(
     inward mutation of psi; the same map arises from every companion basis.
     """
     psi_next, _ = mutate_inward(psi, B, k)
-    old = d_vector_set(psi)
-    new = d_vector_set(psi_next)
-    return {old.by_root[alpha]: new.by_root[alpha] for alpha in psi.rs.positive_roots}
+    pairs = zip(d_vector_set(psi).keys, d_vector_set(psi_next).keys)
+    return {tuple(old): tuple(new) for old, new in pairs}
 
 
 def inward_update_components(
@@ -517,13 +524,13 @@ def phi_in_type_a(B: ExchangeMatrix, k: int) -> dict[DVector, DVector]:
     incoming = [x for x in range(B.n) if B.entries[x][k] > 0]
     return {
         d: d[:k] + (abs(sum(d[x] for x in incoming) - d[k]),) + d[k + 1 :]
-        for d in d_vector_set(psi).vectors
+        for d in map(tuple, d_vector_set(psi).keys)
     }
 
 
 def dumps_d_vector_set(dset: DVectorSet) -> str:
     """Lexicographically sorted JSON array of the d-vectors; golden-file stable."""
-    return dump_json(sorted(dset.vectors))
+    return dump_json(list(map(list, sorted(dset.keys))))
 
 
 def dumps_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> str:
@@ -554,4 +561,9 @@ def loads_companion_basis(text: str) -> tuple[CompanionBasis, ExchangeMatrix]:
             f"size mismatch: quiver has {B.n} vertices, {dynkin} has rank {dynkin.rank}"
         )
     gamma = int_rows(data["gamma"], dynkin.rank, dynkin.rank, "gamma")
-    return CompanionBasis(build_root_system(dynkin), gamma), B
+    # int_rows has read every row as rank plain ints, as RootSystem._vector would
+    rs = build_root_system(dynkin)
+    ids = tuple(map(rs._handle, gamma))
+    if None in ids:
+        raise ValueError(f"{gamma[ids.index(None)]} is not a root")
+    return CompanionBasis._from_ids(rs, ids), B

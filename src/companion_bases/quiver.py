@@ -16,7 +16,7 @@ from .intlinalg import InconsistentSystemError, gf2_solve, positive_definite_det
 
 # bench/test_bench.py checks that tracing wraps det_bareiss here too
 from .intlinalg import det_bareiss  # noqa: F401
-from .root_system import MAX_RANK, DynkinType, Frozen, breadth_first, neighbour_sets
+from .root_system import MAX_RANK, DynkinType, Frozen, _read_tuple, breadth_first, neighbour_sets
 
 SymMatrix = tuple[tuple[int, ...], ...]
 
@@ -140,10 +140,7 @@ def _check_vertex(v, n: int) -> None:
 
 def _vertices(vertices, n: int) -> tuple[int, ...]:
     """The one reader of a vertex collection: its tuple, each vertex by _check_vertex."""
-    try:
-        vertices = tuple(vertices)
-    except TypeError:
-        raise ValueError(f"vertices must be iterable, not {vertices!r}") from None
+    vertices = _read_tuple(vertices, "vertices")
     for v in vertices:
         _check_vertex(v, n)
     return vertices

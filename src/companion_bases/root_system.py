@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 from .intlinalg import solve_unimodular
@@ -46,6 +46,14 @@ def parse_int(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"not an ASCII integer: {text!r}")
     return int(text)
+
+
+def _read_tuple(value, what: str) -> tuple:
+    """tuple(value), read once; ValueError, not TypeError, when it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be iterable, not {value!r}") from None
 
 
 class Frozen:
@@ -164,7 +172,7 @@ class RootSystem:
     order, then the rest in stored order; `with_form_value(p, w)` lists those
     with form value w against root p, memoized per pair (p, w) asked.
     `reflect_handle` reflects handles through a memoized int array per positive mirror.
-    `packed_coordinates`, for the d-vector solve, is also built on first use.
+    `packed_coordinates` and `json_fragments` are also built on first use.
     """
 
     def __init__(self, dynkin: DynkinType):
@@ -210,7 +218,6 @@ class RootSystem:
         self._form_rows: list[tuple[int, ...] | None] = [None] * len(roots)
         self._reflection_rows: list[array | None] = [None] * len(roots)
         self._with_value: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._packed: tuple[int, ...] | None = None
 
     @property
     def rank(self) -> int:
@@ -224,10 +231,7 @@ class RootSystem:
 
     def _vector(self, v) -> Root:
         """The one reader of a root vector: tuple(v), ValueError unless rank plain ints."""
-        try:
-            t = tuple(v)
-        except TypeError:
-            raise ValueError(f"a root vector must be iterable, not {v!r}") from None
+        t = _read_tuple(v, "a root vector")
         if len(t) != self.rank:
             raise ValueError("dimension mismatch")
         if not set(map(type, t)) <= {int}:
@@ -313,11 +317,12 @@ class RootSystem:
             ])
         return row[h] if h >= 0 else ~row[~h]
 
+    @cached_property
     def packed_coordinates(self) -> tuple[int, ...]:
-        """P_i = sum_p (alpha_p)_i 2^(FIELD_BITS p) for each simple index i; memoized.
+        """P_i = sum_p (alpha_p)_i 2^(FIELD_BITS p) for each simple index i.
 
         Solving M X = P for a basis matrix M gives one packed row per basis
-        element, its coefficient c_p in each positive root p, and `abs_fields`
+        element, its coefficient c_p in each positive root p, and `abs_keys`
         reads |c_p| back exactly while |c_p| < 2^(FIELD_BITS - 1).  For every
         Z-basis of the root lattice made of roots it is:
         A_n: |c| <= 1, because the basis is a spanning tree of K_{n+1};
@@ -325,19 +330,27 @@ class RootSystem:
         E_n: |c| <= sqrt(2^n / det C) <= 16, by Cauchy-Schwarz in the Gram form A,
         where c_x^2 <= 2 (A^-1)_xx, and Hadamard on the minor.
         """
-        if self._packed is None:
-            columns = zip(*self.positive_roots)
-            self._packed = tuple(int.from_bytes(bytes(c), "little") for c in columns)
-        return self._packed
+        return tuple(int.from_bytes(bytes(c), "little") for c in zip(*self.positive_roots))
 
-    def abs_fields(self, x: int) -> bytes:
-        """|c_p| for each positive root p of a packed row x, in stored order.
+    def abs_keys(self, rows) -> list[bytes]:
+        """bytes(|c_0p|, ..., |c_(n-1)p|) for each positive root p, in stored order.
 
-        Every field plus 2^(FIELD_BITS - 1) is nonnegative, so no borrow crosses a field.
+        Packed row i holds c_ip in field p.  Every field plus 2^(FIELD_BITS - 1)
+        is nonnegative, so no borrow crosses a field; row i's bytes fill every
+        n-th byte of one buffer from byte i, whose n-byte slices are the keys.
         """
-        n = len(self.positive_roots)
-        bias = int.from_bytes(bytes([1 << (FIELD_BITS - 1)]) * n, "little")
-        return (x + bias).to_bytes(n, "little").translate(_ABS_OF_BIASED)
+        n, count = self.rank, len(self.positive_roots)
+        bias = int.from_bytes(bytes([1 << (FIELD_BITS - 1)]) * count, "little")
+        buf = bytearray(n * count)
+        for i, x in enumerate(rows):
+            buf[i::n] = (x + bias).to_bytes(count, "little")
+        buf = bytes(buf).translate(_ABS_OF_BIASED)
+        return [buf[j : j + n] for j in range(0, len(buf), n)]
+
+    @cached_property
+    def json_fragments(self) -> tuple[str, ...]:
+        """Each positive root as canonical JSON text, such as "[0,1,1]"."""
+        return tuple(f"[{','.join(map(str, r))}]" for r in self.positive_roots)
 
     def classify(self, v) -> str:
         """Sort a coordinate vector into positive_root / negative_root / not_root."""

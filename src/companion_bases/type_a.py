@@ -256,7 +256,7 @@ def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
 def _string_comparison(psi: CompanionBasis, B: ExchangeMatrix) -> tuple[bool, int]:
     """(strong, strings walked); callers check psi and that B is of type A."""
     paths = _string_paths(B)
-    return d_vector_set(psi).vectors == {_indicator(B.n, p) for p in paths}, len(paths)
+    return d_vector_set(psi).key_set == {bytes(_indicator(B.n, p)) for p in paths}, len(paths)
 
 
 def _snake_diagonals(n: int) -> tuple[Diagonal, ...]:

@@ -178,6 +178,30 @@ def test_a_root_vector_is_read_from_any_iterable(name, v, form):
     assert outcome(call, form(v)) == outcome(call, v)
 
 
+# every argument that takes a collection of roots or of indices, with the
+# name its message gives it
+COLLECTION_CALLS = {
+    "CompanionBasis": ("gamma", lambda c: CompanionBasis(A4_ROOTS, c)),
+    "transform, word": ("word", lambda c: transform(PSI_A4, word=c)),
+    "transform, perm": ("perm", lambda c: transform(PSI_A4, perm=c)),
+}
+NOT_ITERABLE = [
+    (name, value)
+    for name in sorted(COLLECTION_CALLS)
+    for value in (None, 5, 1.5)
+    # perm=None is the identity permutation
+    if (name, value) != ("transform, perm", None)
+]
+
+
+@pytest.mark.parametrize("name, value", NOT_ITERABLE, ids=repr)
+def test_a_collection_that_is_not_iterable_is_a_value_error(name, value):
+    # each raised a bare TypeError: '...' object is not iterable
+    what, call = COLLECTION_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{what} must be iterable, not {value!r}$"):
+        call(value)
+
+
 def test_a_cycle_has_a_vertex():
     # the empty cycle raised a bare IndexError
     with pytest.raises(ValueError, match="^cycle is empty$"):
@@ -248,10 +272,11 @@ def count_in_package(text: str) -> int:
 def test_each_precondition_is_raised_in_one_place():
     assert count_in_package("out of range for n=") == 1
     assert count_in_package("invalid companion basis") == 1
-    # the root-vector reader, the vertex-collection reader and the string rule
+    # the root-vector reader, the iterable reader (root_system._read_tuple)
+    # and the string rule
     assert count_in_package("dimension mismatch") == 1
     assert count_in_package("coordinates must be plain integers") == 1
-    assert count_in_package("must be iterable, not") == 2
+    assert count_in_package("must be iterable, not") == 1
     assert count_in_package("walk is not a string:") == 1
 
 
