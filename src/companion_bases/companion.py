@@ -132,18 +132,18 @@ class CompanionBasis:
         form = self.rs.form
         return tuple(tuple(form(h, k) for k in self.ids) for h in self.ids)
 
-    def _solve(self, rhs) -> list[list[int]]:
-        """Rows of X in M X = (rhs as a column), M the basis matrix; the one solve.
+    def _solve(self, rhs) -> list[int]:
+        """The solution x of M x = rhs, M the basis matrix; the one solve.
 
         It raises ValueError unless det M = +-1, so it flags the basis unimodular.
         """
-        rows = solve_unimodular(list(zip(*self.gamma)), [[c] for c in rhs])
+        x = solve_unimodular(list(zip(*self.gamma)), rhs)
         self._unimodular = True
-        return rows
+        return x
 
     def expand(self, v) -> tuple[int, ...]:
         """Coefficients over this basis of a lattice vector (read by RootSystem._vector)."""
-        return tuple(x for (x,) in self._solve(self.rs._vector(v)))
+        return tuple(self._solve(self.rs._vector(v)))
 
     def d_vector(self, alpha) -> DVector:
         """Componentwise absolute expansion coefficients of a root; equal for -alpha."""
@@ -331,7 +331,7 @@ def d_vector_set(psi: CompanionBasis) -> DVectorSet:
     The solve raises ValueError unless det M = +-1, and otherwise flags psi unimodular.
     """
     rs = psi.rs
-    return DVectorSet(rs, rs.abs_keys(x for (x,) in psi._solve(rs.packed_coordinates)))
+    return DVectorSet(rs, rs.abs_keys(psi._solve(rs.packed_coordinates)))
 
 
 def root_with_support_string(psi: CompanionBasis, walk) -> Root:

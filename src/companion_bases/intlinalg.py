@@ -117,39 +117,34 @@ def solve_fractions(rows, rhs) -> list[Fraction] | None:
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
-def solve_unimodular(rows, rhs) -> list[list[int]]:
-    """The integer solution X of M X = R, as rows, for a matrix M with det +-1.
+def solve_unimodular(rows, rhs) -> list[int]:
+    """The integer solution x of M x = c, as a list, for a matrix M with det +-1.
 
-    The forward elimination of det_bareiss, run once on [M | R], yields the
+    The forward elimination of det_bareiss, run once on [M | c], yields the
     determinant and an equivalent triangular system; exact integer
-    back-substitution then solves every column of R at once.  Each step is
-    linear in R and divides only exact multiples, so one column may pack many
-    (companion.d_vector_set).
+    back-substitution then solves it.  Each step is linear in c and divides
+    only exact multiples, so one column may pack many (companion.d_vector_set).
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    m = [list(r) + list(c) for r, c in zip(rows, rhs, strict=True)]
+    m = [[*r, c] for r, c in zip(rows, rhs, strict=True)]
     det = _bareiss_eliminate(m, n)
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (determinant {det})")
-    # back-substitute U x = c for every right-hand column c at once
-    solution = [None] * n
+    # back-substitute U x = c
+    solution = [0] * n
     for i in reversed(range(n)):
         row_i = m[i]
-        acc = row_i[n:]
+        acc = row_i[n]
         for j in range(i + 1, n):
             coeff = row_i[j]
             if coeff:
-                acc = [a - coeff * x for a, x in zip(acc, solution[j])]
-        diag = row_i[i]
-        out = []
-        for a in acc:
-            q, r = divmod(a, diag)
-            if r:
-                raise RuntimeError("inexact back-substitution: invariant violation")
-            out.append(q)
-        solution[i] = out
+                acc -= coeff * solution[j]
+        q, r = divmod(acc, row_i[i])
+        if r:
+            raise RuntimeError("inexact back-substitution: invariant violation")
+        solution[i] = q
     return solution
 
 

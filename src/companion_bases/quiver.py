@@ -25,12 +25,18 @@ NO_POSITIVE_COMPANION = "no positive quasi-Cartan companion"
 
 
 class ExchangeMatrix(Frozen):
-    """Immutable skew-symmetric matrix of entries of type int exactly (no bools)."""
+    """Immutable skew-symmetric matrix of entries of type int exactly (no bools).
+
+    The constructor reads the rows, and each row, with root_system._read_tuple
+    and holds them as tuples.
+    """
 
     entries: tuple[tuple[int, ...], ...]
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        rows = _read_tuple(entries, "entries")
+        entries = tuple(_read_tuple(row, "a matrix row") for row in rows)
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("matrix is not square")
@@ -61,7 +67,7 @@ class ExchangeMatrix(Frozen):
 
     @classmethod
     def from_rows(cls, rows) -> ExchangeMatrix:
-        return cls(tuple(map(tuple, rows)))
+        return cls(rows)
 
     @classmethod
     def from_arrows(cls, n: int, arrows) -> ExchangeMatrix:
@@ -73,7 +79,7 @@ class ExchangeMatrix(Frozen):
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a non-negative integer, not {n!r}")
         rows = [[0] * n for _ in range(n)]
-        for pair in arrows:
+        for pair in _read_tuple(arrows, "arrows"):
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
@@ -157,7 +163,7 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
 
 def mutate_sequence(B: ExchangeMatrix, ks) -> ExchangeMatrix:
-    for k in ks:
+    for k in _read_tuple(ks, "ks"):
         B = mutate(B, k)
     return B
 
@@ -165,31 +171,6 @@ def mutate_sequence(B: ExchangeMatrix, ks) -> ExchangeMatrix:
 def is_connected(B: ExchangeMatrix) -> bool:
     """Whether the underlying graph is connected; the 0-vertex graph is not."""
     return B.n > 0 and len(breadth_first(B.neighbours, 0)[0]) == B.n
-
-
-def induced_paths(neighbours, start: int, floor: int):
-    """Every induced path from start through vertices above floor, as tuples.
-
-    Two vertices of an induced path are adjacent exactly when consecutive.
-    Depth first on an explicit stack, so no recursion limit bounds a path.
-    """
-    path = [start]
-    on_path = {start}
-    branches = [iter(neighbours[start])]
-    yield (start,)
-    while branches:
-        last = path[-1]
-        for nxt in branches[-1]:
-            # the new vertex may touch the path only at its tail
-            if nxt > floor and nxt not in on_path and neighbours[nxt] & on_path == {last}:
-                path.append(nxt)
-                on_path.add(nxt)
-                branches.append(iter(neighbours[nxt]))
-                yield tuple(path)
-                break
-        else:
-            branches.pop()
-            on_path.remove(path.pop())
 
 
 def _string_failure(walk: tuple[int, ...], joined) -> str | None:
@@ -231,16 +212,99 @@ def _cycle_walk(B: ExchangeMatrix):
 
     Each is an induced path from its smallest vertex v closed by a vertex w
     adjacent to v and the path's end only (w > path[1] keeps one direction).
+    A chordless cycle lies inside one biconnected block (Hopcroft-Tarjan
+    1973), so a path is walked only inside the block of its first edge, and
+    not at all when that block is a bridge; the pruned branches close no
+    cycle, so the cycles and their order are those of a walk over the whole
+    graph.
     """
     adj = B.neighbours
-    return (
-        path + (w,)
-        for v in range(B.n)
-        for path in induced_paths(adj, v, v)
-        if len(path) > 1
-        for w in adj[v] & adj[path[-1]]
-        if w > path[1] and adj[w].isdisjoint(path[1:-1])
-    )
+    block_of = _edge_blocks(adj)
+    for v in range(B.n):
+        for u in adj[v]:
+            if u > v and len(block := block_of[v, u]) > 2:
+                for path in _block_paths(adj, v, u, block):
+                    for w in adj[v] & adj[path[-1]]:
+                        if w > u and adj[w].isdisjoint(path[1:-1]):
+                            yield path + (w,)
+
+
+def _block_paths(neighbours, v: int, u: int, block):
+    """Every induced path (v, u, ...) through vertices above v in block, as tuples.
+
+    Two vertices of an induced path are adjacent exactly when consecutive.
+    Depth first on an explicit stack, so no recursion limit bounds a path.
+    """
+    path = [v, u]
+    on_path = {v, u}
+    branches = [iter(neighbours[u])]
+    yield (v, u)
+    while branches:
+        last = path[-1]
+        for nxt in branches[-1]:
+            # the new vertex may touch the path only at its tail
+            if (
+                nxt > v
+                and nxt in block
+                and nxt not in on_path
+                and neighbours[nxt] & on_path == {last}
+            ):
+                path.append(nxt)
+                on_path.add(nxt)
+                branches.append(iter(neighbours[nxt]))
+                yield tuple(path)
+                break
+        else:
+            branches.pop()
+            on_path.remove(path.pop())
+
+
+def _edge_blocks(neighbours) -> dict[tuple[int, int], frozenset[int]]:
+    """Each edge (x, y), x < y, mapped to the vertex set of its biconnected block.
+
+    Hopcroft-Tarjan: one depth-first pass on an explicit stack keeps each
+    vertex's discovery index and low point (the least index that one back
+    edge from its subtree reaches) and a stack of the edges seen; when no
+    back edge from a child's subtree reaches above its parent, the edges
+    down to the tree edge (parent, child) form a block.
+    """
+    n = len(neighbours)
+    index = [-1] * n
+    low = [0] * n
+    edges: list[tuple[int, int]] = []
+    blocks: dict[tuple[int, int], frozenset[int]] = {}
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack = [(root, -1, iter(neighbours[root]))]
+        while stack:
+            x, parent, branch = stack[-1]
+            for y in branch:
+                if index[y] < 0:
+                    edges.append((x, y))
+                    index[y] = low[y] = count
+                    count += 1
+                    stack.append((y, x, iter(neighbours[y])))
+                    break
+                if y != parent and index[y] < index[x]:
+                    edges.append((x, y))
+                    low[x] = min(low[x], index[y])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[x])
+                    if low[x] >= index[p]:
+                        block_edges = []
+                        while not block_edges or block_edges[-1] != (p, x):
+                            block_edges.append(edges.pop())
+                        vertices = frozenset(chain.from_iterable(block_edges))
+                        for a, b in block_edges:
+                            blocks[(a, b) if a < b else (b, a)] = vertices
+    return blocks
 
 
 def cycle_edges(cycle) -> list[tuple]:

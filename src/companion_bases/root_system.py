@@ -452,9 +452,11 @@ def apply_automorphism(perm, v) -> Root:
 
 
 def lattice_inverse(basis) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix sending simple coordinates to basis coefficients: a solve on I."""
+    """Integer matrix sending simple coordinates to basis coefficients: a solve per
+    column of I."""
     n = len(basis)
     if any(len(b) != n for b in basis):
         raise ValueError("basis vectors must have length equal to their number")
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return tuple(map(tuple, solve_unimodular(list(zip(*basis)), identity)))
+    matrix = list(zip(*basis))
+    columns = [solve_unimodular(matrix, [int(i == j) for i in range(n)]) for j in range(n)]
+    return tuple(zip(*columns))

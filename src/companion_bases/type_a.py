@@ -22,11 +22,10 @@ from .quiver import (
     cycle_edges,
     dump_json,
     dynkin_type_of,
-    induced_paths,
     int_rows,
     load_json,
 )
-from .root_system import DynkinType, Frozen, Root
+from .root_system import DynkinType, Frozen, Root, _read_tuple
 
 Diagonal = tuple[int, int]
 
@@ -38,15 +37,20 @@ ENUMERATION_CAP = 9  # largest n that enumerate_triangulations accepts
 def _check_n(n) -> None:
     """The polygon size rule: ValueError unless n is a plain int (no bool) >= 1."""
     if type(n) is not int or n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError("n must be a positive integer")
+
+
+def _check_pair(d) -> Diagonal:
+    """ValueError unless d is a tuple or list of two plain ints (no bool)."""
+    if not isinstance(d, (tuple, list)) or len(d) != 2 or not set(map(type, d)) <= {int}:
+        raise ValueError(f"diagonal {d!r} is not a pair of plain integers")
+    return (d[0], d[1])
 
 
 def _check_diagonal(n: int, d) -> Diagonal:
-    """The diagonal rule: ValueError unless d is a pair of plain ints (no bool)."""
-    if not isinstance(d, (tuple, list)) or len(d) != 2 or not set(map(type, d)) <= {int}:
-        raise ValueError(f"diagonal {d!r} is not a pair of plain integers")
+    """The diagonal rule: a pair of plain ints (_check_pair) naming a diagonal."""
     corners = n + 3
-    i, j = d
+    i, j = _check_pair(d)
     if not (1 <= i < j <= corners):
         raise ValueError(f"diagonal {d} has corners outside 1..{corners}")
     if j - i < 2 or (i, j) == (1, corners):
@@ -56,7 +60,7 @@ def _check_diagonal(n: int, d) -> Diagonal:
 
 def diagonals_cross(d1: Diagonal, d2: Diagonal) -> bool:
     """Strict interleaving of endpoints; sharing an endpoint does not cross."""
-    (a, b), (c, d) = sorted(d1), sorted(d2)
+    (a, b), (c, d) = sorted(_check_pair(d1)), sorted(_check_pair(d2))
     return a < c < b < d or c < a < d < b
 
 
@@ -69,6 +73,7 @@ class Triangulation(Frozen):
 
     def __init__(self, n: int, diagonals):
         _check_n(n)
+        diagonals = _read_tuple(diagonals, "diagonals")
         diagonals = tuple(sorted(_check_diagonal(n, d) for d in diagonals))
         if len(set(diagonals)) != n:
             raise ValueError(f"expected {n} distinct diagonals")
@@ -194,20 +199,47 @@ def _require_type_a(dynkin: DynkinType) -> None:
         raise ValueError(f"strings need type A, not {dynkin}")
 
 
-def _string_paths(B: ExchangeMatrix) -> list[tuple[int, ...]]:
-    """The strings' vertex sequences, each from its smaller end, unsorted.
+def _strings(B: ExchangeMatrix, first, extend) -> list:
+    """One value per string, each from its smaller end, unsorted.
 
-    Induced paths are strings as they stand (their vertices are adjacent
-    exactly when consecutive), so nothing here re-checks them; callers check
-    that B is of type A.
+    A type-A quiver comes from a triangulation (Caldero-Chapoton-Schiffler
+    2006), so its graph is a tree of triangles, where the induced path
+    between two vertices is their unique shortest path.  So one breadth-first
+    pass from each vertex u gives every string from u: the value of the
+    string to w is extend(value to w's parent, w), from first(u), and the
+    strings to w >= u are kept.  Any breadth-first tree has these paths, so
+    neighbours are taken in set order, unsorted (unlike breadth_first).
+    Callers check that B is of type A.
     """
-    # a string's induced path is walked from both ends; keep one direction
-    return [
-        path
-        for v in range(B.n)
-        for path in induced_paths(B.neighbours, v, -1)
-        if path[0] <= path[-1]
-    ]
+    adj = B.neighbours
+    values = []
+    for u in range(B.n):
+        value = {u: first(u)}
+        order = [u]
+        for x in order:
+            for y in adj[x]:
+                if y not in value:
+                    value[y] = extend(value[x], y)
+                    order.append(y)
+        values += [value[w] for w in order if w >= u]
+    return values
+
+
+def _string_paths(B: ExchangeMatrix) -> list[tuple[int, ...]]:
+    """The strings' vertex sequences, each from its smaller end, unsorted."""
+    return _strings(B, lambda u: (u,), lambda path, w: path + (w,))
+
+
+def _string_keys(B: ExchangeMatrix) -> list[bytes]:
+    """The strings' 0/1 indicators as n-byte keys (DVectorSet.keys), unsorted.
+
+    Each is built as an int whose byte w is 1 for each vertex w, from its
+    parent's, and written out little-endian.
+    """
+    n = B.n
+    unit = [1 << (8 * w) for w in range(n)]
+    masks = _strings(B, unit.__getitem__, lambda mask, w: mask | unit[w])
+    return [mask.to_bytes(n, "little") for mask in masks]
 
 
 def enumerate_strings(B: ExchangeMatrix) -> list[tuple[int, ...]]:
@@ -238,7 +270,7 @@ def string_dim_vector(B: ExchangeMatrix, vertices) -> DVector:
 def indecomposable_dim_vectors(B: ExchangeMatrix) -> frozenset[DVector]:
     """Dimension vectors of all indecomposables: one 0/1 vector per string."""
     _require_type_a(dynkin_type_of(B))
-    return frozenset(_indicator(B.n, path) for path in _string_paths(B))
+    return frozenset(map(tuple, _string_keys(B)))
 
 
 def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
@@ -255,8 +287,8 @@ def is_strong_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> bool:
 
 def _string_comparison(psi: CompanionBasis, B: ExchangeMatrix) -> tuple[bool, int]:
     """(strong, strings walked); callers check psi and that B is of type A."""
-    paths = _string_paths(B)
-    return d_vector_set(psi).key_set == {bytes(_indicator(B.n, p)) for p in paths}, len(paths)
+    keys = _string_keys(B)
+    return d_vector_set(psi).key_set == set(keys), len(keys)
 
 
 def _snake_diagonals(n: int) -> tuple[Diagonal, ...]:

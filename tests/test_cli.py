@@ -300,13 +300,13 @@ def test_dvectors_keeps_exit_4_for_roots_of_determinant_two(tmp_path, capsys):
 
 def test_verify_type_a_enumerates_the_strings_once_per_triangulation(monkeypatch):
     calls = []
-    original = type_a._string_paths
+    original = type_a._string_keys
 
     def counting(B):
         calls.append(B)
         return original(B)
 
-    monkeypatch.setattr(type_a, "_string_paths", counting)
+    monkeypatch.setattr(type_a, "_string_keys", counting)
     triangulations = type_a.enumerate_triangulations(4)
     for T in triangulations:
         B = type_a.quiver_from_triangulation(T)
@@ -451,8 +451,8 @@ def test_verify_type_a_starts_no_more_workers_than_triangulations(
 
 
 def test_verify_type_a_counts_the_strings_it_compares(capsys, monkeypatch):
-    original = type_a._string_paths
-    monkeypatch.setattr(type_a, "_string_paths", lambda B: original(B)[1:])
+    original = type_a._string_keys
+    monkeypatch.setattr(type_a, "_string_keys", lambda B: original(B)[1:])
     assert run(["verify-type-a", "--n", 3]) == 5
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert lines[-1]["total"] == 14 and lines[-1]["strong"] == 0

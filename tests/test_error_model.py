@@ -36,6 +36,7 @@ from companion_bases.quiver import (
     is_quasi_cartan,
     loads_exchange_matrix,
     mutate,
+    mutate_sequence,
     recognize,
     satisfies_cycle_sign_condition,
     simultaneous_sign_change,
@@ -44,6 +45,7 @@ from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
     Triangulation,
     almost_positive_root_of_diagonal,
+    diagonals_cross,
     enumerate_triangulations,
     is_string,
     loads_triangulation,
@@ -184,6 +186,12 @@ COLLECTION_CALLS = {
     "CompanionBasis": ("gamma", lambda c: CompanionBasis(A4_ROOTS, c)),
     "transform, word": ("word", lambda c: transform(PSI_A4, word=c)),
     "transform, perm": ("perm", lambda c: transform(PSI_A4, perm=c)),
+    "ExchangeMatrix": ("entries", ExchangeMatrix),
+    "ExchangeMatrix, a row": ("a matrix row", lambda c: ExchangeMatrix([c])),
+    "ExchangeMatrix.from_rows": ("entries", ExchangeMatrix.from_rows),
+    "ExchangeMatrix.from_arrows": ("arrows", lambda c: ExchangeMatrix.from_arrows(2, c)),
+    "mutate_sequence": ("ks", lambda c: mutate_sequence(A4, c)),
+    "Triangulation": ("diagonals", lambda c: Triangulation(3, c)),
 }
 NOT_ITERABLE = [
     (name, value)
@@ -348,31 +356,39 @@ def test_every_command_exits_4_on_an_invariant_violation(monkeypatch, capsys, co
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_a_triangulation_has_a_positive_rank(n):
-    with pytest.raises(ValueError, match="^n must be positive$"):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         Triangulation(n, ())
-    with pytest.raises(ValueError, match="^n must be positive$"):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         random_triangulation(n, random.Random(0))
     assert random_triangulation(1, random.Random(0)).n == 1
 
 
-@pytest.mark.parametrize("d", [(True, 3), (1.0, 3), ("1", 3), (1.5, 4), (1, 3, 5), 13], ids=repr)
+@pytest.mark.parametrize(
+    "d", [(True, 3), (1.0, 3), ("1", 3), (1.5, 4), (1, 3, 5), 13, None], ids=repr
+)
 def test_a_diagonal_is_a_pair_of_plain_ints(d):
     # True and 1.0 were taken as corner 1, so a triangulation holding (True, 3)
     # was written as [[true,3]], which loads_triangulation refuses; "1" and 13
-    # failed with a bare TypeError, and (1.5, 4) with the snake RuntimeError
+    # failed with a bare TypeError, and (1.5, 4) with the snake RuntimeError;
+    # diagonals_cross took (True, 3) as (1, 3) and failed on None and 13 with
+    # a bare TypeError
     message = f"^{re.escape(f'diagonal {d!r} is not a pair of plain integers')}$"
     for n, diagonals in ((1, [d]), (2, [d, (1, 4)])):
         with pytest.raises(ValueError, match=message):
             Triangulation(n, diagonals)
     with pytest.raises(ValueError, match=message):
         almost_positive_root_of_diagonal(2, d)
+    for pair in ((d, (1, 3)), ((1, 3), d)):
+        with pytest.raises(ValueError, match=message):
+            diagonals_cross(*pair)
     assert Triangulation(2, [(1, 3), (1, 4)]).diagonals == ((1, 3), (1, 4))
+    assert diagonals_cross([1, 3], (4, 2)) and not diagonals_cross((1, 3), (3, 5))
 
 
 @pytest.mark.parametrize("n", [True, 1.0, "1", 0], ids=repr)
 def test_the_snake_root_follows_the_polygon_size_rule(n):
     # True was read as n = 1 and answered (-1,)
-    with pytest.raises(ValueError, match="^n must be positive$"):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         almost_positive_root_of_diagonal(n, (1, 3))
     assert almost_positive_root_of_diagonal(1, (1, 3)) == (-1,)
 
@@ -409,11 +425,11 @@ class UntouchedRandom(random.Random):
 
 @pytest.mark.parametrize("n", BAD_SIZES)
 def test_a_polygon_size_is_a_plain_positive_int(n):
-    with pytest.raises(ValueError, match="^n must be positive$"):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         Triangulation(n, [(1, 3)])
-    with pytest.raises(ValueError, match="^n must be positive$"):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         enumerate_triangulations(n)
-    with pytest.raises(ValueError, match="^n must be positive$"):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         random_triangulation(n, UntouchedRandom(0))
 
 

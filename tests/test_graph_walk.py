@@ -1,11 +1,15 @@
-"""The one walk over a quiver's underlying graph.
+"""The walks over a quiver's underlying graph.
 
-Neighbour sets are built once per matrix; chordless cycles and strings come
-from one iterative walk over induced paths, so the recursion limit does not
-bound them, and strings match a brute-force oracle.
+Neighbour sets are built once per matrix.  Chordless cycles come from an
+iterative walk over induced paths inside one biconnected block at a time, and
+type-A strings from one breadth-first pass per vertex, so the recursion limit
+bounds neither.  Both give what the whole-graph induced-path walk in
+walk_oracles.py gives, the cycles in the same order, and strings match a
+brute-force oracle.
 """
 
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -16,21 +20,30 @@ import pytest
 from companion_bases import quiver, root_system
 from companion_bases.companion import companion_basis_for, initial_companion_basis
 from companion_bases.quiver import (
+    CYCLE_NOT_ORIENTED,
     ExchangeMatrix,
     breadth_first,
-    induced_paths,
+    chordless_cycles,
     is_connected,
+    is_cyclically_oriented,
+    mutate,
     mutate_sequence,
 )
 from companion_bases.root_system import DynkinType
 from companion_bases.type_a import (
+    _indicator,
+    _string_keys,
+    _string_paths,
     enumerate_strings,
     enumerate_triangulations,
     is_string,
     quiver_from_triangulation,
+    random_triangulation,
 )
 
-from conftest import PENDANT_ARROWS, dynkin_orientation
+from conftest import PENDANT_ARROWS, dynkin_orientation, grid_quiver
+from mutation_classes import mutation_class, orientation
+from walk_oracles import induced_path_strings, induced_paths, whole_graph_cycles
 
 SRC = str(Path(quiver.__file__).resolve().parents[1])
 
@@ -107,6 +120,92 @@ def test_strings_match_the_induced_path_oracle():
         supports = [frozenset(w) for w in walks]
         assert len(set(supports)) == len(supports)
         assert set(supports) == induced_path_sets(B)
+
+
+def random_graph(rng: random.Random, n: int) -> ExchangeMatrix:
+    """A random quiver on n vertices, about d/2 edges per vertex for a drawn d."""
+    p = rng.choice((1.5, 2.0, 2.5, 3.0)) / n
+    pairs = [(x, y) for x, y in combinations(range(n), 2) if rng.random() < p]
+    return ExchangeMatrix.from_arrows(n, [e if rng.random() < 0.5 else e[::-1] for e in pairs])
+
+
+def assert_walks_agree(B: ExchangeMatrix) -> int:
+    """The block walk yields the whole-graph walk's cycles in its order, and the
+    oriented walk names the first of them that is not cyclically oriented."""
+    expected = whole_graph_cycles(B)
+    assert list(quiver._cycle_walk(B)) == expected
+    bad = [c for c in expected if not is_cyclically_oriented(B, c)]
+    if bad:
+        with pytest.raises(ValueError) as error:
+            chordless_cycles(B, oriented=True)
+        assert str(error.value) == f"{CYCLE_NOT_ORIENTED}: {bad[0]}"
+    else:
+        assert chordless_cycles(B, oriented=True) == sorted(expected, key=lambda c: (len(c), c))
+    return len(expected)
+
+
+def test_the_block_walk_keeps_the_cycle_order_on_random_graphs():
+    rng = random.Random("block-walk")
+    ranks = [rng.randint(3, 40) for _ in range(240)]
+    # past rank 8 a frozenset no longer iterates in ascending order
+    assert sum(n > 8 for n in ranks) > 150
+    cycles = [assert_walks_agree(random_graph(rng, n)) for n in ranks]
+    assert sum(cycles) > 1000 and sum(map(bool, cycles)) > 100
+
+
+def test_the_block_walk_keeps_the_cycle_order_on_the_grid():
+    # one block: nothing is pruned, and the 3436 cycles come out in walk order;
+    # the 7 x 7 grid (65,772 cycles, about 11 s) runs in CI (walk_oracles.py)
+    assert assert_walks_agree(grid_quiver(6)) == 3436
+
+
+@pytest.mark.parametrize("label", ["A12", "D10", "E7", "E8"])
+def test_the_block_walk_keeps_the_cycle_order_along_mutation_walks(label):
+    rng = random.Random(f"block-walk:{label}")
+    B = dynkin_orientation(label)
+    for _ in range(60):
+        B = mutate(B, rng.randrange(B.n))
+        assert_walks_agree(B)
+
+
+def test_the_block_walk_extends_no_path_past_its_first_edge(monkeypatch):
+    walked = []
+    original = quiver._block_paths
+
+    def counting(*args):
+        for path in original(*args):
+            walked.append(path)
+            yield path
+
+    monkeypatch.setattr(quiver, "_block_paths", counting)
+    # every block of a path is a bridge, so no path is walked at all
+    path = ExchangeMatrix.from_arrows(PATH_RANK, [(i, i + 1) for i in range(PATH_RANK - 1)])
+    assert chordless_cycles(path) == [] and walked == []
+    # the blocks of a triangulation quiver are bridges and triangles, and a
+    # path of two triangle edges is not induced
+    # path of two triangle edges is not induced: each triangle's three edges
+    # are walked once each, from their smaller ends
+    rng = random.Random("triangle-blocks")
+    triangles = 0
+    for n in range(12, 41):
+        B = quiver_from_triangulation(random_triangulation(n, rng))
+        walked.clear()
+        cycles = chordless_cycles(B)
+        assert all(len(p) == 2 for p in walked) and len(walked) == 3 * len(cycles)
+        triangles += len(cycles)
+    assert triangles > 50
+
+
+def test_breadth_first_strings_are_the_induced_paths_on_the_a1_to_a5_classes():
+    count = 0
+    for n in range(1, 6):
+        for B in mutation_class(orientation(DynkinType("A", n))):
+            paths = _string_paths(B)
+            assert sorted(paths) == sorted(induced_path_strings(B))
+            assert len(paths) == n * (n + 1) // 2
+            assert _string_keys(B) == [bytes(_indicator(n, p)) for p in paths]
+            count += 1
+    assert count == 1 + 2 + 14 + 144 + 1980
 
 
 def test_induced_paths_from_a_vertex():

@@ -195,14 +195,19 @@ def eye(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def inverse_by_columns(rows):
+    """The inverse of a matrix with det +-1: one solve per column of the identity."""
+    return tuple(zip(*(solve_unimodular(rows, column) for column in eye(len(rows)))))
+
+
 def test_inverse_unimodular():
-    # the inverse of a matrix with det +-1 is its solve on the identity
     m = ((1, 1), (0, 1))
-    inv = solve_unimodular(m, eye(2))
-    assert inv == [[1, -1], [0, 1]]
+    inv = inverse_by_columns(m)
+    assert inv == ((1, -1), (0, 1))
     assert mat_vec(inv, mat_vec(m, (5, -3))) == (5, -3)
+    assert solve_unimodular(m, [2, -3]) == [5, -3]
     with pytest.raises(ValueError, match="unimodular"):
-        solve_unimodular(((2, 0), (0, 1)), eye(2))
+        solve_unimodular(((2, 0), (0, 1)), [1, 0])
 
 
 def inverse_fraction_oracle(rows):
@@ -246,7 +251,7 @@ def apply_row_operations(n, operations):
 def test_inverse_unimodular_on_elementary_products(case):
     n, operations = case
     m = apply_row_operations(n, operations)
-    inv = tuple(map(tuple, solve_unimodular(m, eye(n))))
+    inv = inverse_by_columns(m)
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     product = tuple(
         tuple(sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n))
@@ -271,15 +276,18 @@ def test_inverse_unimodular_on_elementary_products(case):
 def test_inverse_unimodular_rejects_other_determinants(rows, det):
     assert det_bareiss(rows) == det
     with pytest.raises(ValueError, match=f"unimodular \\(determinant {det}\\)"):
-        solve_unimodular(rows, eye(len(rows)))
+        solve_unimodular(rows, eye(len(rows))[0])
 
 
 def test_inverse_unimodular_edge_cases():
-    assert solve_unimodular((), eye(0)) == []
-    assert solve_unimodular(((-1,),), eye(1)) == [[-1]]
-    assert solve_unimodular(((0, 1), (1, 0)), eye(2)) == [[0, 1], [1, 0]]
+    assert solve_unimodular((), []) == []
+    assert solve_unimodular(((-1,),), [1]) == [-1]
+    assert solve_unimodular(((0, 1), (1, 0)), [1, 2]) == [2, 1]
     with pytest.raises(ValueError, match="not square"):
-        solve_unimodular(((1, 0),), eye(1))
+        solve_unimodular(((1, 0),), [1])
+    # one right-hand entry per row
+    with pytest.raises(ValueError):
+        solve_unimodular(((1, 0), (0, 1)), [1])
 
 
 @given(

@@ -239,7 +239,7 @@ def test_recognition_stops_at_the_first_cycle_not_cyclically_oriented(monkeypatc
     checked = []
     walked = []
     original_check = quiver.is_cyclically_oriented
-    original_walk = quiver.induced_paths
+    original_walk = quiver._block_paths
 
     def counting_check(B, cycle):
         checked.append(cycle)
@@ -251,7 +251,7 @@ def test_recognition_stops_at_the_first_cycle_not_cyclically_oriented(monkeypatc
             yield path
 
     monkeypatch.setattr(quiver, "is_cyclically_oriented", counting_check)
-    monkeypatch.setattr(quiver, "induced_paths", counting_walk)
+    monkeypatch.setattr(quiver, "_block_paths", counting_walk)
     assert recognize(B) == (CYCLE_NOT_ORIENTED, None)
     assert checked == [(0, 1, 8, 7)]
     # the walk is abandoned at that cycle; listing all 65,772 cycles of the
