@@ -182,7 +182,6 @@ def test_the_block_walk_extends_no_path_past_its_first_edge(monkeypatch):
     path = ExchangeMatrix.from_arrows(PATH_RANK, [(i, i + 1) for i in range(PATH_RANK - 1)])
     assert chordless_cycles(path) == [] and walked == []
     # the blocks of a triangulation quiver are bridges and triangles, and a
-    # path of two triangle edges is not induced
     # path of two triangle edges is not induced: each triangle's three edges
     # are walked once each, from their smaller ends
     rng = random.Random("triangle-blocks")
