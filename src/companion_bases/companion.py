@@ -55,8 +55,10 @@ class CompanionBasis:
     tuples, is derived from the handles on each read, so a mutation step and
     its check never build it.  The constructor locates the vectors it is
     given; library code builds bases from handles with `_from_ids`.
-    `_checked` is the ExchangeMatrix the basis last passed
-    companion_basis_failure against.
+    `_checked` is the ExchangeMatrix the basis is known to be a companion
+    basis for: the one it last passed companion_basis_failure against, or,
+    on a basis made by _mutate_basis, mutate(B, k) once the local check of
+    the pairs around k has passed.  `_set` clears it.
 
     `_unimodular` records that the basis is known to be a Z-basis without a
     determinant.  It is set only by _mutate_basis, on a basis it derived by
@@ -157,11 +159,15 @@ def companion_basis_failure(psi: CompanionBasis, B: ExchangeMatrix) -> str | Non
     per (basis, matrix) pair: a pass is remembered on psi, and a later call
     with the same B object (by identity, not equality) returns None at once.
     Both are immutable, so the remembered pass stays exact.  Any other B is
-    checked in full, and a failure is never remembered.  The determinant of a
-    basis made by mutate_inward, mutate_outward or companion_basis_for, or of
-    one that expand or d_vector_set has solved over, is derived, not
-    recomputed (see CompanionBasis.is_z_basis); the pair scan always runs.
-    The check reads only handles, never the coordinate tuples `gamma`.
+    checked in full, and a failure is never remembered.  A basis made by
+    mutate_inward or mutate_outward arrives remembered against the mutated
+    matrix when the pairs around k passed _mutate_basis's local check, which
+    decides the same as this full scan; when they did not, this scan finds
+    the first mismatch.  The determinant of a basis made by mutate_inward,
+    mutate_outward or companion_basis_for, or of one that expand or
+    d_vector_set has solved over, is derived, not recomputed (see
+    CompanionBasis.is_z_basis).  The check reads only handles, never the
+    coordinate tuples `gamma`.
     """
     if psi._checked is B:
         return None
@@ -264,23 +270,49 @@ def _mutate_basis(
     """mutate_inward or mutate_outward: the pair (mutated psi, mutate(B, k)).
 
     Checks k (in mutate) before psi, then reflects in gamma_k the elements at
-    the tails of arrows into k (inward) or at the heads of arrows out of k
-    (outward), on their handles.
+    the tails of arrows into k (inward, b_kx < 0) or at the heads of arrows
+    out of k (outward, b_kx > 0), on their handles.  k's neighbours are read
+    from row k alone, and only the reflected elements are touched.
 
     Each reflection gamma_x - (gamma_x, gamma_k) gamma_k with x != k is an
     elementary column operation, so the result keeps psi's determinant +-1
     and is flagged unimodular.  It carries no recognised quiver (see
     CompanionBasis), so a strongness check on it walks mutate(B, k).
+
+    The result is checked locally (Barot-Geiss-Zelevinsky 2006: mutation at
+    k changes only what lies around k).  psi has just passed against B, so
+    a pair (x, y) of the result can mismatch mutate(B, k) only when x and y
+    are both neighbours of k and one of them was reflected:
+    - pairs with k: the form and the entry are both negated;
+    - neither end reflected: the roots are unchanged, and b_xy changes only
+      on a tail-head pair, which has a reflected end;
+    - x reflected, y not a neighbour: the form gains
+      -(gamma_x, gamma_k)(gamma_k, gamma_y) = 0, and b_xy is unchanged.
+    When those pairs match, the result is remembered as checked against
+    mutate(B, k) (`_checked`), so companion_basis_failure on the pair returns
+    None at once.  Otherwise nothing is remembered, and that call's full scan
+    reports the first mismatch as for any other basis.
     """
     mutated_B = mutate(B, k)
     _require_companion_basis(psi, B)
     rs = psi.rs
-    h_k = psi.ids[k]
-    # entry x is positive when x is a tail (inward) or a head (outward)
-    arrows = [row[k] for row in B.entries] if inward else B.entries[k]
-    ids = tuple(rs.reflect_handle(h, h_k) if b > 0 else h for h, b in zip(psi.ids, arrows))
-    mutated = CompanionBasis._from_ids(rs, ids)
+    row_k = B.entries[k]
+    neighbours = [x for x, b in enumerate(row_k) if b]
+    reflected = [x for x in neighbours if (row_k[x] < 0) == inward]
+    ids = list(psi.ids)
+    h_k = ids[k]
+    for x in reflected:
+        ids[x] = rs.reflect_handle(ids[x], h_k)
+    mutated = CompanionBasis._from_ids(rs, tuple(ids))
     mutated._unimodular = True
+    # the pairs of a reflected x with the other neighbours y, as in the full scan
+    positive = {y: ids[y] if ids[y] >= 0 else ~ids[y] for y in neighbours}
+    for x in reflected:
+        row, b_x = rs.form_row(positive[x]), mutated_B.entries[x]
+        if any(y != x and abs(row[positive[y]]) != abs(b_x[y]) for y in neighbours):
+            break
+    else:
+        mutated._checked = mutated_B
     return mutated, mutated_B
 
 

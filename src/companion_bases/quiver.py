@@ -113,28 +113,32 @@ class ExchangeMatrix(Frozen):
 
 
 def mutate_entries(rows, k: int):
-    """Rows of the mutation at k of a skew-symmetric matrix, as tuples.
+    """Rows of the mutation at k of a skew-symmetric matrix of tuple rows.
 
     b'_xy = -b_xy when x or y is k, else b_xy + sgn(b_xk) [b_xk b_ky]_+.
-    A row with b_xk = 0 is unchanged (its entry k is -0), so only row k and
-    the rows of k's neighbours are rebuilt.
+    Mutation is local (Barot-Geiss-Zelevinsky 2006): row k is read once, and
+    since b_xk = -b_kx only row k and the rows of k's neighbours change, each
+    only in column k and at the neighbours y on the other side of k.  Every
+    other row is returned as the same object.
     """
     row_k = rows[k]
-    new = []
-    for x, row in enumerate(rows):
-        b_xk = row[k]
-        if x == k:
-            new.append(tuple([-b for b in row]))
-        elif b_xk == 0:
-            new.append(tuple(row))
+    neighbours = [(y, b) for y, b in enumerate(row_k) if b]
+    heads = [(y, b) for y, b in neighbours if b > 0]
+    tails = [(y, b) for y, b in neighbours if b < 0]
+    new = list(rows)
+    new[k] = tuple([-b for b in row_k])
+    for x, b_kx in neighbours:
+        out = list(rows[x])
+        if b_kx < 0:
+            # x -> k: b'_xy = b_xy - b_kx b_ky for each head y of k
+            for y, b_ky in heads:
+                out[y] -= b_kx * b_ky
         else:
-            # b_kx = -b_xk, so the diagonal entry stays 0
-            if b_xk > 0:
-                out = [b + b_xk * b_ky if b_ky > 0 else b for b, b_ky in zip(row, row_k)]
-            else:
-                out = [b - b_xk * b_ky if b_ky < 0 else b for b, b_ky in zip(row, row_k)]
-            out[k] = -b_xk
-            new.append(tuple(out))
+            # k -> x: b'_xy = b_xy + b_kx b_ky for each tail y of k
+            for y, b_ky in tails:
+                out[y] += b_kx * b_ky
+        out[k] = b_kx
+        new[x] = tuple(out)
     return tuple(new)
 
 

@@ -114,8 +114,11 @@ class DynkinType(Frozen):
     def parse(cls, text: str) -> DynkinType:
         """Parse a label like "A4", "D5" or "E6"; the rank is read by parse_int.
 
-        A rank above MAX_RANK raises ValueError.
+        A rank above MAX_RANK raises ValueError, and so does a text that is
+        not a str.
         """
+        if not isinstance(text, str):
+            raise ValueError(f"cannot parse Dynkin type {text!r}")
         text = text.strip()
         try:
             rank = parse_int(text[1:])

@@ -11,6 +11,7 @@ import time
 
 from companion_bases.cli import main as cli_main
 from companion_bases.companion import (
+    CompanionBasis,
     companion_basis_failure,
     companion_basis_for,
     d_vector_set,
@@ -111,6 +112,12 @@ def test_criterion_3_companion_mutation_soundness():
                 op = mutate_inward if inward else mutate_outward
                 psi, B = op(psi, B, k)
                 failure = companion_basis_failure(psi, B)
+                assert failure is None, (label, walk, k, failure)
+                # the step above passes by _mutate_basis's local argument; a
+                # copy without memo or flag is checked from the definition:
+                # the determinant, then every pair
+                fresh = CompanionBasis._from_ids(psi.rs, psi.ids)
+                failure = companion_basis_failure(fresh, B)
                 assert failure is None, (label, walk, k, failure)
                 checks += 1
     elapsed = time.perf_counter() - start

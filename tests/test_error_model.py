@@ -464,3 +464,10 @@ def test_the_empty_matrix_has_no_dynkin_type():
     for entry in (dynkin_type_of, companion_basis_for):
         with pytest.raises(ValueError, match="^matrix is not connected$"):
             entry(empty)
+
+
+@pytest.mark.parametrize("label", [5, None, 2.5, b"A3", ["A", 3]], ids=repr)
+def test_a_dynkin_label_that_is_not_a_str_is_a_value_error(label):
+    # an int raised a bare AttributeError: 'int' object has no attribute 'strip'
+    with pytest.raises(ValueError, match=f"^cannot parse Dynkin type {re.escape(repr(label))}$"):
+        DynkinType.parse(label)

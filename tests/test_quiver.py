@@ -605,6 +605,30 @@ def test_mutate_entries_matches_dense_formula_on_walks(start):
         assert largest >= 2  # the walk met multiple arrows
 
 
+def random_skew(n: int, rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            rows[x][y] = rng.randint(-3, 3)
+            rows[y][x] = -rows[x][y]
+    return tuple(map(tuple, rows))
+
+
+def test_mutate_entries_equals_the_dense_formula_on_random_skew_matrices():
+    rng = random.Random("mutate-entries")
+    for n in range(1, 13):
+        for _ in range(12):
+            rows = random_skew(n, rng)
+            for k in range(n):
+                new = mutate_entries(rows, k)
+                assert new == mutate_entries_dense(rows, k), (rows, k)
+                assert type(new) is tuple and all(type(row) is tuple for row in new)
+                # a row off k's neighbourhood is returned as the same object
+                for x in range(n):
+                    if x != k and rows[k][x] == 0:
+                        assert new[x] is rows[x]
+
+
 def assert_mutation_passes_the_checked_constructor(B):
     for k in range(B.n):
         trusted = mutate(B, k)

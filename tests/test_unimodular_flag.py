@@ -15,6 +15,11 @@ scan finds no assignment of an `_inverse` slot.
 The recognised quiver (`_recognized`) lets the strongness check skip its
 chordless-cycle walk, which is sound only for the quiver that
 companion_basis_for recognised; `_set` clears it.
+
+The checked memo (`_checked`) makes companion_basis_failure return None at
+once, so it is set only where a check has passed: by that function after its
+full scan, and by _mutate_basis after its local check of the pairs around k.
+`_set` clears it.
 """
 
 import ast
@@ -98,6 +103,18 @@ def test_the_recognised_quiver_is_assigned_only_by_recognition_and_mutation():
         ("companion.CompanionBasis._set", None),
         ("companion.companion_basis_for", None),
     ]
+
+
+def test_the_checked_memo_is_assigned_only_by_the_reset_the_check_and_mutation():
+    found = [item for path in PACKAGE_MODULES for item in flag_assignments(path, "_checked")]
+    assert sorted(found, key=str) == sorted(
+        [
+            ("companion.CompanionBasis._set", None),
+            ("companion.companion_basis_failure", None),
+            ("companion._mutate_basis", None),
+        ],
+        key=str,
+    )
 
 
 def test_the_scan_sees_every_spelling(tmp_path):
