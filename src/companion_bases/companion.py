@@ -17,7 +17,6 @@ from .quiver import (
     ExchangeMatrix,
     _check_vertex,
     _matrix_data,
-    _string_failure,
     _vertices,
     dump_json,
     dynkin_type_and_companion,
@@ -338,10 +337,6 @@ class DVectorSet:
     def by_root(self) -> dict[Root, DVector]:
         return dict(zip(self.rs.positive_roots, map(tuple, self.keys)))
 
-    def sorted_items(self) -> list[tuple[DVector, Root]]:
-        """(d-vector, root) pairs, the d-vectors in lexicographic order."""
-        return [(tuple(k), root) for k, root in sorted(zip(self.keys, self.rs.positive_roots))]
-
     def __len__(self):
         return len(self.key_set)
 
@@ -364,24 +359,6 @@ def d_vector_set(psi: CompanionBasis) -> DVectorSet:
     """
     rs = psi.rs
     return DVectorSet(rs, rs.abs_keys(psi._solve(rs.packed_coordinates)))
-
-
-def root_with_support_string(psi: CompanionBasis, walk) -> Root:
-    """The positive root supported exactly on a string of vertices.
-
-    The walk is a string when the form joins its elements as quiver._string_failure
-    requires.  Computed by reflecting the first element through the rest in
-    order, then normalising the sign.
-    """
-    rs, ids = psi.rs, psi.ids
-    walk = _vertices(walk, rs.rank)
-    failure = _string_failure(walk, lambda u, v: rs.form(ids[u], ids[v]) != 0)
-    if failure is not None:
-        raise ValueError(failure)
-    beta = ids[walk[0]]
-    for x in walk[1:]:
-        beta = rs.reflect_handle(beta, ids[x])
-    return rs.root(beta if beta >= 0 else ~beta)
 
 
 def find_mutation_sequence_to_tree(B: ExchangeMatrix, cap: int = 200_000) -> list[int]:
@@ -558,11 +535,6 @@ def phi_in_type_a(B: ExchangeMatrix, k: int) -> dict[DVector, DVector]:
         d: d[:k] + (abs(sum(d[x] for x in incoming) - d[k]),) + d[k + 1 :]
         for d in map(tuple, d_vector_set(psi).keys)
     }
-
-
-def dumps_d_vector_set(dset: DVectorSet) -> str:
-    """Lexicographically sorted JSON array of the d-vectors; golden-file stable."""
-    return dump_json(list(map(list, sorted(dset.keys))))
 
 
 def dumps_companion_basis(psi: CompanionBasis, B: ExchangeMatrix) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import chain
-from math import prod
 
 from .intlinalg import InconsistentSystemError, gf2_solve, positive_definite_det
 
@@ -177,20 +176,6 @@ def is_connected(B: ExchangeMatrix) -> bool:
     return B.n > 0 and len(breadth_first(B.neighbours, 0)[0]) == B.n
 
 
-def _string_failure(walk: tuple[int, ...], joined) -> str | None:
-    """The one string rule: why walk is not a string, or None.  A string has at least
-    one vertex, none twice, and joined(u, v) exactly when u and v are consecutive."""
-    if len(set(walk)) != len(walk):
-        return "walk revisits a vertex"
-    for i, u in enumerate(walk):
-        for j in range(i + 1, len(walk)):
-            paired = joined(u, walk[j])
-            if paired != (j == i + 1):
-                state = "joined" if paired else "not joined"
-                return f"walk is not a string: vertices {u},{walk[j]} {state}"
-    return None if walk else "walk is empty"
-
-
 def chordless_cycles(
     B: ExchangeMatrix, *, oriented: bool = False
 ) -> list[tuple[int, ...]]:
@@ -334,39 +319,6 @@ def cartan_counterpart(B: ExchangeMatrix) -> SymMatrix:
     return _signed_companion(B, ())
 
 
-def is_quasi_cartan(A) -> bool:
-    """Whether A is square and symmetric with diagonal 2, its entries plain ints (int_rows)."""
-    n = len(A)
-    if any(len(row) != n for row in A) or not set(map(type, chain.from_iterable(A))) <= {int}:
-        return False
-    return all(A[i][i] == 2 and all(A[i][j] == A[j][i] for j in range(n)) for i in range(n))
-
-
-def is_companion_of(A, B: ExchangeMatrix) -> bool:
-    """Whether |a_xy| matches |b_xy| off the diagonal."""
-    if len(A) != B.n or not is_quasi_cartan(A):
-        return False
-    return all(
-        abs(A[x][y]) == abs(B.entries[x][y])
-        for x in range(B.n)
-        for y in range(B.n)
-        if x != y
-    )
-
-
-def satisfies_cycle_sign_condition(A, B: ExchangeMatrix) -> bool:
-    """Whether every chordless cycle carries an odd number of positive entries.
-
-    Equivalently, the product of -a_xy over the edges of each chordless cycle
-    is negative; a necessary condition for A to be a positive companion.
-    """
-    if not is_companion_of(A, B):
-        raise ValueError("A is not a quasi-Cartan companion of B")
-    return all(
-        prod(-A[x][y] for x, y in cycle_edges(cycle)) < 0 for cycle in _cycle_walk(B)
-    )
-
-
 def canonical_companion(B: ExchangeMatrix) -> SymMatrix:
     """The companion of B with odd positive sign count on every chordless cycle.
 
@@ -405,24 +357,20 @@ def _signed_companion(B: ExchangeMatrix, cycles) -> SymMatrix:
 def is_positive_quasi_cartan(A) -> bool:
     """Positive definiteness of a symmetric quasi-Cartan matrix.
 
+    A and each row are read with root_system._read_tuple; ValueError unless A
+    is square and symmetric with diagonal 2, its entries plain ints (no bool).
     Checked through leading principal minors, all from one exact elimination
     (see positive_definite_det).
     """
-    if not is_quasi_cartan(A):
+    A = tuple(_read_tuple(row, "a matrix row") for row in _read_tuple(A, "A"))
+    if (
+        any(len(row) != len(A) for row in A)
+        or not set(map(type, chain.from_iterable(A))) <= {int}
+        or A != tuple(zip(*A))
+        or any(row[i] != 2 for i, row in enumerate(A))
+    ):
         raise ValueError("matrix is not symmetric with diagonal 2 and plain-int entries")
     return positive_definite_det(A) > 0
-
-
-def simultaneous_sign_change(A, vertices) -> SymMatrix:
-    """Flip the sign of rows and columns in the given vertex set at once."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix is not square")
-    flip = set(_vertices(vertices, n))
-    sign = [-1 if x in flip else 1 for x in range(n)]
-    return tuple(
-        tuple(sign[x] * sign[y] * A[x][y] for y in range(n)) for x in range(n)
-    )
 
 
 def _companion_or_failure(
@@ -522,26 +470,19 @@ def int_rows(value, n_rows: int, n_cols: int, name: str) -> tuple[tuple[int, ...
 
 
 def load_json(text: str):
-    """json.loads, raising ValueError also on nesting too deep to parse."""
+    """json.loads, raising ValueError also on nesting too deep to parse and on
+    an argument that is not text (str, bytes or bytearray)."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    except TypeError:
+        raise ValueError(f"expected JSON text, not {type(text).__name__}") from None
 
 
 def dump_json(value) -> str:
     """Canonical JSON text: sorted keys and no whitespace, so byte-stable."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _rank_field(data: dict) -> int:
-    """data["n"] of a quiver or triangulation document: a positive int up to MAX_RANK."""
-    n = data["n"]
-    if type(n) is not int or n < 1:
-        raise ValueError("'n' must be a positive integer")
-    if n > MAX_RANK:
-        raise ValueError(f"'n' is {n}, above the cap of {MAX_RANK} vertices")
-    return n
 
 
 def loads_exchange_matrix(text: str) -> ExchangeMatrix:
@@ -553,7 +494,11 @@ def exchange_matrix_from_data(data) -> ExchangeMatrix:
     """The exchange matrix of a parsed JSON value; see loads_exchange_matrix."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("expected an object with an 'n' field")
-    n = _rank_field(data)
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError("'n' must be a positive integer")
+    if n > MAX_RANK:
+        raise ValueError(f"'n' is {n}, above the cap of {MAX_RANK} vertices")
     if "b" in data and "arrows" in data:
         raise ValueError("expected a 'b' matrix or an 'arrows' list, not both")
     if "b" in data:

@@ -13,18 +13,7 @@ from itertools import product
 from math import comb
 
 from .companion import CompanionBasis, DVector, _require_companion_basis, d_vector_set
-from .quiver import (
-    ExchangeMatrix,
-    _rank_field,
-    _string_failure,
-    _vertices,
-    chordless_cycles,
-    cycle_edges,
-    dump_json,
-    dynkin_type_of,
-    int_rows,
-    load_json,
-)
+from .quiver import ExchangeMatrix, _vertices, chordless_cycles, cycle_edges, dynkin_type_of
 from .root_system import DynkinType, Frozen, Root, _read_tuple
 
 Diagonal = tuple[int, int]
@@ -189,9 +178,16 @@ def relations_of(B: ExchangeMatrix) -> frozenset[ArrowPair]:
 
 
 def is_string(B: ExchangeMatrix, vertices) -> bool:
-    """Whether a walk of vertices is an induced path of B (quiver._string_failure)."""
+    """Whether a walk of vertices is an induced path of B: at least one vertex,
+    none twice, and two joined by an arrow exactly when consecutive."""
     walk = _vertices(vertices, B.n)
-    return _string_failure(walk, lambda u, v: B.entries[u][v] != 0) is None
+    if not walk or len(set(walk)) != len(walk):
+        return False
+    return all(
+        (B.entries[u][walk[j]] != 0) == (j == i + 1)
+        for i, u in enumerate(walk)
+        for j in range(i + 1, len(walk))
+    )
 
 
 def _require_type_a(dynkin: DynkinType) -> None:
@@ -320,22 +316,3 @@ def almost_positive_root_of_diagonal(n: int, d) -> Root:
         # every diagonal off the snake crosses a non-empty run of consecutive ones
         raise RuntimeError(f"diagonal {d} crosses snake positions {crossed}: not one run")
     return tuple(1 if crossed[0] <= i <= crossed[-1] else 0 for i in range(n))
-
-
-def dumps_triangulation(T: Triangulation) -> str:
-    return dump_json({"n": T.n, "diagonals": [list(d) for d in T.diagonals]})
-
-
-def loads_triangulation(text: str) -> Triangulation:
-    """Read {"n": int, "diagonals": [[int, int]]}, with n diagonals.
-
-    Raises ValueError on anything else: an n that the exchange-matrix reader
-    would refuse (quiver._rank_field), entries that are not plain integers
-    (floats, strings and booleans are never coerced), nesting too deep to
-    parse, and diagonals that do not triangulate the (n+3)-gon.
-    """
-    data = load_json(text)
-    if not isinstance(data, dict) or "n" not in data or "diagonals" not in data:
-        raise ValueError("expected an object with n and diagonals fields")
-    n = _rank_field(data)
-    return Triangulation(n, int_rows(data["diagonals"], n, 2, "diagonals"))

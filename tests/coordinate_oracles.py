@@ -1,11 +1,14 @@
 """Coordinate oracles: the reflection, the Cartan matrix and the d-vectors
 computed from their definitions, against which the library's table lookups
 and its packed solve are tested, and the d-vector set held as tuples, against
-which its byte keys and the `dvectors` report written from them are tested."""
+which its byte keys and the `dvectors` report written from them are tested.
+Also the definitions the library needs no code for: the cycle sign condition,
+the simultaneous sign change of a matrix, and the root on a string."""
 
+from math import prod
 from operator import add
 
-from companion_bases.quiver import dump_json
+from companion_bases.quiver import _cycle_walk, cycle_edges, dump_json
 from companion_bases.root_system import NOT_ROOT, DynkinType, Root, RootSystem
 
 
@@ -57,10 +60,6 @@ class TupleDVectorSet:
     def __eq__(self, other):
         return self.vectors == other.vectors
 
-    def dumps(self) -> str:
-        """dumps_d_vector_set's text."""
-        return dump_json(sorted(self.vectors))
-
     def report(self, dynkin) -> str:
         """The `dvectors` report's text, without its newline."""
         rows = [{"d": d, "root": root} for d, root in self.sorted_items()]
@@ -70,3 +69,43 @@ class TupleDVectorSet:
 def tuple_d_vector_set(psi) -> TupleDVectorSet:
     """psi's d-vector set from the parent-chain expansion, held as tuples."""
     return TupleDVectorSet(d_vectors_by_parent_chain(psi))
+
+
+def satisfies_cycle_sign_condition(A, B) -> bool:
+    """Whether A is a companion of B (|a_xy| = |b_xy| off the diagonal) with an
+    odd number of positive entries on every chordless cycle: the product of
+    -a_xy over each cycle's edges is negative (Barot-Geiss-Zelevinsky 2006).
+    The cycles are walked lazily, so the first that fails ends the walk."""
+    n = B.n
+    if any(abs(A[x][y]) != abs(B.entries[x][y]) for x in range(n) for y in range(n) if x != y):
+        return False
+    return all(prod(-A[x][y] for x, y in cycle_edges(c)) < 0 for c in _cycle_walk(B))
+
+
+def simultaneous_sign_change(A, vertices):
+    """A with the rows and columns of the given vertices negated at once."""
+    flip = set(vertices)
+    sign = [-1 if x in flip else 1 for x in range(len(A))]
+    return tuple(tuple(sx * sy * a for sy, a in zip(sign, row)) for sx, row in zip(sign, A))
+
+
+def root_with_support_string(psi, walk) -> Root:
+    """The positive root supported exactly on a string of vertices: the first
+    vertex's root reflected through the others' in order, sign normalised.
+
+    ValueError unless the basis's form values make the walk a string: at
+    least one vertex, none twice, and two joined exactly when consecutive.
+    """
+    rs, ids, walk = psi.rs, psi.ids, tuple(walk)
+    if not walk:
+        raise ValueError("walk is empty")
+    if len(set(walk)) != len(walk):
+        raise ValueError("walk revisits a vertex")
+    for i, u in enumerate(walk):
+        for j in range(i + 1, len(walk)):
+            if (rs.form(ids[u], ids[walk[j]]) != 0) != (j == i + 1):
+                raise ValueError(f"walk is not a string: vertices {u},{walk[j]}")
+    beta = ids[walk[0]]
+    for x in walk[1:]:
+        beta = rs.reflect_handle(beta, ids[x])
+    return rs.root(beta if beta >= 0 else ~beta)

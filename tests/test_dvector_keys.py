@@ -3,7 +3,7 @@
 companion.DVectorSet holds one bytes key per positive root, and the
 `dvectors` command writes its report from those keys and the root system's
 memoized JSON fragments, with no dict per root.  These tests check the keys'
-tuple views, their comparisons and both writers against
+tuple views, their comparisons and the report against
 coordinate_oracles.TupleDVectorSet, which holds the parent-chain d-vectors as
 tuples and writes the report with dump_json, on walked, sign-changed and
 transported bases of every type up to rank 12 and on one mutated D100 basis.
@@ -20,7 +20,6 @@ from companion_bases.companion import (
     companion_basis_for,
     d_vector_set,
     dumps_companion_basis,
-    dumps_d_vector_set,
     initial_companion_basis,
     mutate_inward,
     mutate_outward,
@@ -89,9 +88,7 @@ def test_the_views_and_comparisons_match_the_tuple_reference(label):
         assert all(type(k) is bytes and len(k) == rs.rank for k in dset.keys)
         assert dset.vectors == reference.vectors
         assert list(dset.by_root.items()) == list(reference.by_root.items())
-        assert dset.sorted_items() == reference.sorted_items()
         assert len(dset) == len(reference) == len(rs.positive_roots)
-        assert dumps_d_vector_set(dset) == reference.dumps()
         if label in ("E7", "E8"):
             assert max(map(max, reference.vectors)) >= 2
     for (a, ref_a), (b, ref_b) in product(zip(sets, references), repeat=2):

@@ -20,26 +20,22 @@ from companion_bases.companion import (
     find_mutation_sequence_to_tree,
     initial_companion_basis,
     inward_update_components,
+    loads_companion_basis,
     mutate_inward,
     mutate_outward,
     phi_in_type_a,
-    root_with_support_string,
     sign_change,
     transform,
 )
 from companion_bases.quiver import (
     ExchangeMatrix,
-    canonical_companion,
     dynkin_type_of,
     is_cyclically_oriented,
     is_positive_quasi_cartan,
-    is_quasi_cartan,
     loads_exchange_matrix,
     mutate,
     mutate_sequence,
     recognize,
-    satisfies_cycle_sign_condition,
-    simultaneous_sign_change,
 )
 from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
@@ -48,7 +44,6 @@ from companion_bases.type_a import (
     diagonals_cross,
     enumerate_triangulations,
     is_string,
-    loads_triangulation,
     random_triangulation,
     string_dim_vector,
 )
@@ -71,12 +66,8 @@ VERTEX_CALLS = {
     ),
     "phi_in_type_a": lambda v: phi_in_type_a(A4, v),
     "sign_change": lambda v: sign_change(PSI_A4, [v]),
-    "root_with_support_string": lambda v: root_with_support_string(PSI_A4, [0, v]),
     "is_string": lambda v: is_string(A4, (v,)),
     "string_dim_vector": lambda v: string_dim_vector(A4, (v,)),
-    "simultaneous_sign_change": lambda v: simultaneous_sign_change(
-        canonical_companion(A4), [v]
-    ),
 }
 
 
@@ -103,13 +94,9 @@ def outcome(call, value):
 # of the A4 path: a string, not a cycle
 VERTEX_COLLECTION_CALLS = {
     "sign_change": lambda vs: sign_change(PSI_A4, vs),
-    "simultaneous_sign_change": lambda vs: simultaneous_sign_change(
-        canonical_companion(A4), vs
-    ),
     "is_cyclically_oriented": lambda vs: is_cyclically_oriented(A4, vs),
     "is_string": lambda vs: is_string(A4, vs),
     "string_dim_vector": lambda vs: string_dim_vector(A4, vs),
-    "root_with_support_string": lambda vs: root_with_support_string(PSI_A4, vs),
 }
 
 
@@ -216,23 +203,25 @@ def test_a_cycle_has_a_vertex():
         is_cyclically_oriented(TRIANGLE, ())
 
 
-def test_a_sign_change_needs_a_square_matrix():
-    # the third column was dropped: the answer was ((2, 1), (1, 2))
-    with pytest.raises(ValueError, match="^matrix is not square$"):
-        simultaneous_sign_change(((2, -1, 0), (-1, 2, 0)), [0])
+NOT_QUASI_CARTAN = "matrix is not symmetric with diagonal 2 and plain-int entries"
+BAD_QUASI_CARTAN = [
+    # each was read as the int matrix it equals
+    (((2.0, -1), (-1, 2)), NOT_QUASI_CARTAN),
+    (((2, -1.0), (-1.0, 2)), NOT_QUASI_CARTAN),
+    (((2, True), (True, 2)), NOT_QUASI_CARTAN),
+    # each raised a bare TypeError: object of type '...' has no len()
+    (None, "A must be iterable, not None"),
+    (5, "A must be iterable, not 5"),
+    ([5], "a matrix row must be iterable, not 5"),
+]
 
 
 @pytest.mark.parametrize(
-    "A", [((2.0, -1), (-1, 2)), ((2, -1.0), (-1.0, 2)), ((2, True), (True, 2))], ids=repr
+    "A, message", BAD_QUASI_CARTAN, ids=[repr(A) for A, _ in BAD_QUASI_CARTAN]
 )
-def test_a_quasi_cartan_matrix_has_plain_int_entries(A):
-    # each was read as the int matrix it equals
-    assert not is_quasi_cartan(A)
-    message = "^matrix is not symmetric with diagonal 2 and plain-int entries$"
-    with pytest.raises(ValueError, match=message):
+def test_a_quasi_cartan_matrix_has_plain_int_entries(A, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         is_positive_quasi_cartan(A)
-    with pytest.raises(ValueError, match="^A is not a quasi-Cartan companion of B$"):
-        satisfies_cycle_sign_condition(A, ExchangeMatrix.from_arrows(2, [(0, 1)]))
 
 
 @pytest.mark.parametrize("cycle", [(-3, 1, 2), (0, 1, 7), (0, True, 2), (0, 1, 2.0)])
@@ -280,12 +269,10 @@ def count_in_package(text: str) -> int:
 def test_each_precondition_is_raised_in_one_place():
     assert count_in_package("out of range for n=") == 1
     assert count_in_package("invalid companion basis") == 1
-    # the root-vector reader, the iterable reader (root_system._read_tuple)
-    # and the string rule
+    # the root-vector reader and the iterable reader (root_system._read_tuple)
     assert count_in_package("dimension mismatch") == 1
     assert count_in_package("coordinates must be plain integers") == 1
     assert count_in_package("must be iterable, not") == 1
-    assert count_in_package("walk is not a string:") == 1
 
 
 def test_invariant_violations_are_runtime_errors(monkeypatch):
@@ -405,10 +392,20 @@ def test_the_snake_root_follows_the_polygon_size_rule(n):
     ],
 )
 def test_both_readers_share_one_rank_rule(n, message):
+    quiver = f'{{"n": {n}, "arrows": []}}'
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        loads_exchange_matrix(f'{{"n": {n}, "arrows": []}}')
+        loads_exchange_matrix(quiver)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        loads_triangulation(f'{{"n": {n}, "diagonals": []}}')
+        loads_companion_basis(f'{{"type": "A2", "quiver": {quiver}, "gamma": []}}')
+
+
+@pytest.mark.parametrize("text", [None, 5, ["{}"]], ids=repr)
+def test_a_document_that_is_not_text_is_a_value_error(text):
+    # json.loads raised a bare TypeError: the JSON object must be str, ...
+    message = f"^expected JSON text, not {type(text).__name__}$"
+    for loads in (loads_exchange_matrix, loads_companion_basis):
+        with pytest.raises(ValueError, match=message):
+            loads(text)
 
 
 # a bool or float size was read as an int (True as 1, 2.0 as 2) or failed

@@ -9,7 +9,6 @@ from companion_bases.companion import (
     CompanionBasis,
     companion_basis_failure,
     companion_basis_for,
-    root_with_support_string,
     sign_change,
 )
 from companion_bases.quiver import (
@@ -20,7 +19,6 @@ from companion_bases.quiver import (
     finite_type_failure,
     is_cyclically_oriented,
     mutate,
-    satisfies_cycle_sign_condition,
 )
 from companion_bases.root_system import DynkinType, build_root_system
 from companion_bases.type_a import (
@@ -29,13 +27,11 @@ from companion_bases.type_a import (
     almost_positive_root_of_diagonal,
     catalan,
     diagonals_cross,
-    dumps_triangulation,
     enumerate_strings,
     enumerate_triangulations,
     indecomposable_dim_vectors,
     is_string,
     is_strong_companion_basis,
-    loads_triangulation,
     quiver_from_triangulation,
     random_triangulation,
     relations_of,
@@ -49,6 +45,7 @@ from conftest import (
     dynkin_orientation,
     grid_quiver,
 )
+from coordinate_oracles import root_with_support_string, satisfies_cycle_sign_condition
 
 PENDANT = ExchangeMatrix.from_arrows(4, PENDANT_ARROWS)
 
@@ -584,34 +581,3 @@ def test_random_draws_match_the_reference(n):
         assert T.diagonals == reference_random_triangulation(n, reference_rng).diagonals
         assert quiver_from_triangulation(T).entries == reference_quiver(T)
 
-
-def test_serialization():
-    T = Triangulation(4, ((1, 3), (1, 5), (3, 5), (5, 7)))
-    text = dumps_triangulation(T)
-    assert loads_triangulation(text) == T
-    with pytest.raises(ValueError):
-        loads_triangulation('{"n": 2}')
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"n": 1.9, "diagonals": [["1", 3.9]]}',
-        '{"n": true, "diagonals": [[true, 3]]}',
-        '{"n": 1, "diagonals": [[1.0, 3]]}',
-        '{"n": 1, "diagonals": [[1, 3, 5]]}',
-        '{"n": 1, "diagonals": [1, 3]}',
-        '{"n": 1, "diagonals": [[1, 3], [2, 4]]}',
-        '{"n": "1", "diagonals": [[1, 3]]}',
-        "[" * 100_000,
-        '{"n": 1, "diagonals": ' + "[" * 100_000 + "}",
-    ],
-)
-def test_loads_triangulation_is_strict(text):
-    with pytest.raises(ValueError):
-        loads_triangulation(text)
-
-
-def test_loads_triangulation_reads_plain_integers():
-    T = loads_triangulation('{"n": 1, "diagonals": [[1, 3]]}')
-    assert T == Triangulation(1, ((1, 3),))
