@@ -363,9 +363,9 @@ def is_positive_quasi_cartan(A) -> bool:
     (see positive_definite_det).
     """
     A = tuple(_read_tuple(row, "a matrix row") for row in _read_tuple(A, "A"))
+    # A equal to its transpose is square: zip(*A) has min(len(row)) rows
     if (
-        any(len(row) != len(A) for row in A)
-        or not set(map(type, chain.from_iterable(A))) <= {int}
+        not set(map(type, chain.from_iterable(A))) <= {int}
         or A != tuple(zip(*A))
         or any(row[i] != 2 for i, row in enumerate(A))
     ):

@@ -23,6 +23,7 @@ from companion_bases.companion import (
     loads_companion_basis,
     mutate_inward,
     mutate_outward,
+    mutation_map_inward,
     phi_in_type_a,
     sign_change,
     transform,
@@ -64,8 +65,11 @@ VERTEX_CALLS = {
     "inward_update_components": lambda v: inward_update_components(
         PSI_A4, A4, v, (1, 1, 0, 0)
     ),
+    "mutation_map_inward": lambda v: mutation_map_inward(PSI_A4, A4, v),
+    "mutate_sequence": lambda v: mutate_sequence(A4, [0, v]),
     "phi_in_type_a": lambda v: phi_in_type_a(A4, v),
     "sign_change": lambda v: sign_change(PSI_A4, [v]),
+    "is_cyclically_oriented": lambda v: is_cyclically_oriented(A4, (0, 1, v)),
     "is_string": lambda v: is_string(A4, (v,)),
     "string_dim_vector": lambda v: string_dim_vector(A4, (v,)),
 }
@@ -213,6 +217,12 @@ BAD_QUASI_CARTAN = [
     (None, "A must be iterable, not None"),
     (5, "A must be iterable, not 5"),
     ([5], "a matrix row must be iterable, not 5"),
+    # the shape and symmetry rules, each read off the same tuple of rows
+    (((2, -1, 0), (-1, 2, 0)), NOT_QUASI_CARTAN),
+    (((2, -1), (-1,)), NOT_QUASI_CARTAN),
+    (((2, -1), (0, 2)), NOT_QUASI_CARTAN),
+    (((1, 0), (0, 2)), NOT_QUASI_CARTAN),
+    (((2, "x"), ("x", 2)), NOT_QUASI_CARTAN),
 ]
 
 
@@ -397,6 +407,41 @@ def test_both_readers_share_one_rank_rule(n, message):
         loads_exchange_matrix(quiver)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         loads_companion_basis(f'{{"type": "A2", "quiver": {quiver}, "gamma": []}}')
+
+
+# both readers of a quiver: the document itself, and the quiver inside a
+# companion-basis document
+QUIVER_READERS = {
+    "loads_exchange_matrix": loads_exchange_matrix,
+    "loads_companion_basis": lambda quiver: loads_companion_basis(
+        f'{{"type": "A2", "quiver": {quiver}, "gamma": []}}'
+    ),
+}
+DEEP = "[" * 100_000 + "]" * 100_000
+ROWS_OF_TWO = "'b' rows must be lists of 2 integers"
+MALFORMED_QUIVERS = {
+    "float arrow": ('{"n": 2, "arrows": [[0, 1.0]]}', "bad arrow [0, 1.0]"),
+    "bool arrow": ('{"n": 2, "arrows": [[true, 1]]}', "bad arrow [True, 1]"),
+    "string arrow": ('{"n": 2, "arrows": [["0", 1]]}', "bad arrow ['0', 1]"),
+    "three-vertex arrow": ('{"n": 2, "arrows": [[0, 1, 1]]}', "bad arrow [0, 1, 1]"),
+    "flat arrows": ('{"n": 2, "arrows": [0, 1]}', "bad arrow 0"),
+    "arrows not a list": ('{"n": 2, "arrows": {"0": 1}}', "'arrows' must be a list"),
+    "float entry": ('{"n": 2, "b": [[0, 1.0], [-1, 0]]}', ROWS_OF_TWO),
+    "bool entry": ('{"n": 2, "b": [[0, true], [false, 0]]}', ROWS_OF_TWO),
+    "short row": ('{"n": 2, "b": [[0, 1], [-1]]}', ROWS_OF_TWO),
+    "missing row": ('{"n": 2, "b": [[0, 1]]}', "'b' must be a list of 2 rows"),
+    "deep document": (DEEP, "JSON nested too deeply"),
+    "deep arrows": ('{"n": 2, "arrows": ' + DEEP + "}", "JSON nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(QUIVER_READERS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_QUIVERS))
+def test_a_quiver_document_is_read_strictly(reader, case):
+    # no entry is coerced, and no shape is read as another
+    text, message = MALFORMED_QUIVERS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QUIVER_READERS[reader](text)
 
 
 @pytest.mark.parametrize("text", [None, 5, ["{}"]], ids=repr)
